@@ -30,9 +30,8 @@ scenarios reaching ≥ 4 rounds) the script also fails if the speedup target
 is missed.
 
 On top of the cold/incremental pair (default backend), every scenario also
-sweeps an **LP backend portfolio** (``--backends``, default scipy, the
-native highspy backend, and a ``race:highs_native,scipy`` portfolio): each
-backend gets its own cold + incremental pair, its per-round cost lands in
+sweeps an **LP backend portfolio** (``--backends``, default scipy and the
+native highspy backend): each backend gets its own cold + incremental pair, its per-round cost lands in
 the record's ``backends`` table, and — whenever the backend's warm start is
 exact — the same byte-level cross-check the default pair gets.  Degraded
 backends (``highs_native`` without ``highspy``) are benchmarked in whatever
@@ -70,13 +69,8 @@ from repro.verify import SyrennVerifier, VerificationSpec
 
 MAX_ROUNDS = 60
 
-#: LP backend specs benchmarked per scenario (see ``--backends``).
-DEFAULT_PORTFOLIO = ["scipy", "highs_native", "race:highs_native,scipy"]
-
-
-def backend_slug(spec: str) -> str:
-    """A metric-name-safe slug for a backend spec (``race:a,b`` → ``race_a_b``)."""
-    return spec.replace(":", "_").replace(",", "_")
+#: LP backends benchmarked per scenario (see ``--backends``).
+DEFAULT_PORTFOLIO = ["scipy", "highs_native"]
 
 
 def build_workload(
@@ -162,31 +156,31 @@ def cross_check(cold: dict, incremental: dict) -> None:
 def run_backend_portfolio(network, spec, *, ration: int, backends: list[str]) -> dict:
     """Per-backend cold + incremental pairs for one scenario.
 
-    Returns ``{spec: {...}}`` with per-round costs, the round speedup, and
+    Returns ``{backend: {...}}`` with per-round costs, the round speedup, and
     the capability probe.  Backends whose warm start is exact get the full
     byte-level :func:`cross_check`; inexact ones (the native basis-reuse
     path steers pivots) are held to verdict-level agreement — both runs
     must certify.
     """
     table: dict[str, dict] = {}
-    for backend_spec in backends:
-        probe = backend_capabilities(backend_spec)
+    for backend_name in backends:
+        probe = backend_capabilities(backend_name)
         cold = run_driver(
-            network, spec, incremental=False, ration=ration, backend=backend_spec
+            network, spec, incremental=False, ration=ration, backend=backend_name
         )
         incremental = run_driver(
-            network, spec, incremental=True, ration=ration, backend=backend_spec
+            network, spec, incremental=True, ration=ration, backend=backend_name
         )
         if probe["warm_start_is_exact"]:
             cross_check(cold, incremental)
         elif not (cold["certified"] and incremental["certified"]):
             raise AssertionError(
-                f"backend {backend_spec!r} failed to certify the workload"
+                f"backend {backend_name!r} failed to certify the workload"
             )
         cold.pop("report")
         incremental.pop("report")
-        table[backend_spec] = {
-            "slug": backend_slug(backend_spec),
+        table[backend_name] = {
+            "slug": backend_name,
             "available": probe["available"],
             "warm_start_is_exact": probe["warm_start_is_exact"],
             "cold_mean_round_seconds": cold["mean_round_seconds"],
@@ -197,9 +191,9 @@ def run_backend_portfolio(network, spec, *, ration: int, backends: list[str]) ->
             "warm_started_rounds": incremental["warm_started_rounds"],
             "total_seconds": incremental["total_seconds"],
         }
-        entry = table[backend_spec]
+        entry = table[backend_name]
         print(
-            f"    backend={backend_spec:<28} "
+            f"    backend={backend_name:<28} "
             f"cold/round={entry['cold_mean_round_seconds'] * 1e3:7.1f}ms  "
             f"incremental/round={entry['incremental_mean_round_seconds'] * 1e3:7.1f}ms  "
             f"round-speedup={entry['round_speedup']:.1f}x"
@@ -304,7 +298,7 @@ def main() -> None:
         "--backends",
         nargs="+",
         default=None,
-        help="LP backend specs to sweep per scenario "
+        help="LP backends to sweep per scenario "
         f"(default: {' '.join(DEFAULT_PORTFOLIO)})",
     )
     parser.add_argument(

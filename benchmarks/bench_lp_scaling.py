@@ -1,18 +1,12 @@
-"""LP-scaling benchmark: batched+sparse repair engine vs. the legacy path.
+"""LP-scaling benchmark: repair seconds against LP constraint rows.
 
 Builds synthetic pointwise repairs whose LP grows from ~10² to ~10⁴
-constraint rows and times both repair engines end to end (Jacobian
-computation, LP assembly, and LP solve):
-
-* **legacy** — per-point Python-loop Jacobians (``batched=False``) and the
-  dense ``standard_form`` (``sparse=False``);
-* **batched** — one vectorized multi-point Jacobian pass (``batched=True``)
-  and the sparse CSR standard form (``sparse=True``).
-
-The two engines build the same LP row for row, so the benchmark also
-cross-checks that their deltas and LP statuses agree before reporting
-timings.  Results are written as JSON (default ``BENCH_lp_scaling.json``)
-so CI can archive the perf trajectory.
+constraint rows and times :func:`~repro.core.point_repair.point_repair` end
+to end — one vectorized multi-point Jacobian pass, the CSR standard form,
+and the LP solve — reporting the Jacobian and LP shares of each repair.
+Every spec is satisfiable at Δ = 0, so the script also checks that each
+repair is feasible before reporting.  Results are written as JSON (default
+``BENCH_lp_scaling.json``) so CI can archive the perf trajectory.
 
 Usage::
 
@@ -43,7 +37,7 @@ INPUT_SIZE = 10
 NUM_CLASSES = 2   # binary classifier: one argmax constraint row per point
 BOTTLENECK = 10
 REPAIR_LAYER = 0  # the bottleneck layer: few parameters, deep downstream pass
-DELTA_BOUND = 0.05  # box bound on Δ; identical for both engines
+DELTA_BOUND = 0.05  # box bound on Δ
 
 
 def build_network(depth: int, width: int, rng: np.random.Generator) -> Network:
@@ -66,11 +60,10 @@ def build_network(depth: int, width: int, rng: np.random.Generator) -> Network:
 def build_spec(network: Network, num_points: int, rng: np.random.Generator) -> PointRepairSpec:
     """A verification-style spec: every point must keep its current argmax.
 
-    The spec is satisfiable at Δ = 0, so the LP solve stays cheap and
-    comparable across engines and the benchmark isolates the scaling of the
-    encoding pipeline (Jacobians + constraint assembly) that the batched
-    engine accelerates.  Flipping labels instead makes HiGHS iteration
-    counts — identical for both engines — swamp the measurement.
+    The spec is satisfiable at Δ = 0, so the LP solve stays cheap and the
+    benchmark isolates the scaling of the encoding pipeline (Jacobians +
+    constraint assembly).  Flipping labels instead makes HiGHS iteration
+    counts swamp the measurement.
     """
     points = rng.normal(size=(num_points, network.input_size))
     outputs = np.atleast_2d(network.compute(points))
@@ -78,9 +71,7 @@ def build_spec(network: Network, num_points: int, rng: np.random.Generator) -> P
     return PointRepairSpec.from_labels(points, labels, num_classes=NUM_CLASSES, margin=0.0)
 
 
-def run_one(
-    network: Network, spec: PointRepairSpec, *, batched: bool, sparse: bool, rounds: int = 2
-) -> dict:
+def run_one(network: Network, spec: PointRepairSpec, *, rounds: int = 2) -> dict:
     """Time one end-to-end repair; repeat ``rounds`` times and keep the best.
 
     A repair is a deterministic one-shot computation, so the minimum over a
@@ -96,8 +87,6 @@ def run_one(
             spec,
             norm="linf",
             delta_bound=DELTA_BOUND,
-            batched=batched,
-            sparse=sparse,
         )
         total = time.perf_counter() - start
         if best is None or total < best["total_seconds"]:
@@ -109,13 +98,12 @@ def run_one(
                 "feasible": result.feasible,
                 "num_constraint_rows": result.num_constraint_rows,
                 "num_variables": result.num_variables,
-                "delta": result.delta,
             }
     return best
 
 
 def run_benchmark(sizes: list[int], depth: int, width: int, seed: int) -> dict:
-    """Run the legacy-vs-batched sweep and return the JSON-ready report."""
+    """Run the rows-vs-seconds sweep and return the JSON-ready report."""
     rng = ensure_rng(seed)  # seeded through repro.utils.rng for reproducible JSON
     network = build_network(depth, width, rng)
     rows_per_point = NUM_CLASSES - 1  # one argmax constraint row per rival class
@@ -123,36 +111,17 @@ def run_benchmark(sizes: list[int], depth: int, width: int, seed: int) -> dict:
     for target_rows in sizes:
         num_points = max(1, target_rows // rows_per_point)
         spec = build_spec(network, num_points, rng)
-        legacy = run_one(network, spec, batched=False, sparse=False)
-        batched = run_one(network, spec, batched=True, sparse=True)
-
-        if legacy["status"] != batched["status"]:
+        record = run_one(network, spec)
+        if not record["feasible"]:
             raise AssertionError(
-                f"engines disagree on LP status: {legacy['status']} vs {batched['status']}"
+                f"a spec satisfiable at delta = 0 came back {record['status']}"
             )
-        if legacy["feasible"] and not np.allclose(
-            legacy["delta"], batched["delta"], atol=1e-6
-        ):
-            raise AssertionError("engines disagree on the repair delta")
-
-        for record in (legacy, batched):
-            record.pop("delta")
-        speedup = legacy["total_seconds"] / max(batched["total_seconds"], 1e-12)
-        records.append(
-            {
-                "target_rows": target_rows,
-                "num_points": num_points,
-                "constraint_rows": batched["num_constraint_rows"],
-                "legacy": legacy,
-                "batched": batched,
-                "speedup": speedup,
-            }
-        )
+        records.append({"target_rows": target_rows, "num_points": num_points, **record})
         print(
-            f"rows={batched['num_constraint_rows']:>6}  "
-            f"legacy={legacy['total_seconds']:.3f}s  "
-            f"batched={batched['total_seconds']:.3f}s  "
-            f"speedup={speedup:.1f}x"
+            f"rows={record['num_constraint_rows']:>6}  "
+            f"total={record['total_seconds']:.3f}s  "
+            f"jacobian={record['jacobian_seconds']:.3f}s  "
+            f"lp={record['lp_seconds']:.3f}s"
         )
     return {
         "benchmark": "lp_scaling",

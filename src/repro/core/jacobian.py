@@ -4,14 +4,12 @@ The repair algorithms need, for every repair point ``x``, the pair
 ``(N(x), J_x)`` where ``J_x`` is the Jacobian of the DDNN output with respect
 to the repaired value-channel layer's parameters (line 5 of Algorithm 1).
 The vectorized multi-point computation lives on
-:meth:`repro.core.ddnn.DecoupledNetwork.batch_parameter_jacobian` (the
-single-point version on :meth:`~repro.core.ddnn.DecoupledNetwork.parameter_jacobian`);
-this module dispatches between the two for a whole specification, provides
-the shared constraint-row encoder used by :mod:`repro.core.point_repair` and
-the engine workers, streams the encoded rows as bounded CSR chunks
-(:class:`JacobianChunkStream` — the out-of-core repair data path), and
-provides a finite-difference checker used by the test-suite to validate the
-closed-form Jacobians.
+:meth:`repro.core.ddnn.DecoupledNetwork.batch_parameter_jacobian`; this
+module provides the shared constraint-row encoder used by
+:mod:`repro.core.point_repair` and the engine workers, streams the encoded
+rows as bounded CSR chunks (:class:`JacobianChunkStream` — the out-of-core
+repair data path), and provides a finite-difference checker used by the
+test-suite to validate the closed-form Jacobians.
 """
 
 from __future__ import annotations
@@ -29,34 +27,6 @@ from repro.core.specs import PointRepairSpec
 DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 
 
-def specification_jacobians(
-    ddnn: DecoupledNetwork, layer_index: int, spec: PointRepairSpec, *, batched: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs and Jacobians of the DDNN at every point of a specification.
-
-    Returns ``(outputs, jacobians)`` with shapes ``(k, m)`` and
-    ``(k, m, num_parameters)`` respectively.  With ``batched=True`` (the
-    default) all points are propagated through the two channels in one
-    vectorized pass; ``batched=False`` keeps the legacy one-point-at-a-time
-    loop, retained for differential testing of the batched engine.
-    """
-    if batched:
-        return ddnn.batch_parameter_jacobian(
-            layer_index, spec.points, spec.activation_points
-        )
-    outputs = []
-    jacobians = []
-    for index in range(spec.num_points):
-        output, jacobian = ddnn.parameter_jacobian(
-            layer_index,
-            spec.points[index],
-            spec.activation_point(index),
-        )
-        outputs.append(output)
-        jacobians.append(jacobian)
-    return np.array(outputs), np.array(jacobians)
-
-
 def encode_constraints_batched(
     ddnn: DecoupledNetwork, layer_index: int, spec: PointRepairSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +34,7 @@ def encode_constraints_batched(
 
     Returns ``(lhs, rhs)`` such that the repair constraints are exactly
     ``lhs @ Δ ≤ rhs``, with rows in specification order (point 0's rows
-    first) — the same layout the legacy per-point loop produces.  The
+    first) — the same layout a per-point loop would produce.  The
     Jacobians come from one vectorized multi-point pass, and the per-point
     products ``A_x J_x`` are computed with einsums over groups of points
     sharing a constraint-row count, so no Python loop runs per point.

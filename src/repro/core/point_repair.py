@@ -15,14 +15,13 @@ The result is either a repaired DDNN that provably satisfies the
 specification with a minimal single-layer change, or a proof (LP
 infeasibility) that no single-layer repair of layer ``i`` exists.
 
-Two implementations of steps 2–3 exist.  The **batched engine** (default)
-computes all Jacobians in one vectorized multi-point pass
+Steps 2–3 compute all Jacobians in one vectorized multi-point pass
 (:meth:`~repro.core.ddnn.DecoupledNetwork.batch_parameter_jacobian`) and
-assembles the constraint rows of every point with grouped einsums into a
-single LP block, which downstream becomes a sparse CSR standard form.  The
-**legacy engine** (``batched=False``) loops over the points one at a time; it
-is retained as the reference implementation for differential testing — both
-engines produce the same LP, row for row.
+assemble the constraint rows of every point with grouped einsums into a
+single LP block, which downstream becomes a sparse CSR standard form.  With a
+byte budget the same rows arrive as bounded CSR chunks from a
+:class:`~repro.core.jacobian.JacobianChunkStream` instead, assembling the
+same standard form byte for byte.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ def point_repair(
     backend: str | None = None,
     delta_bound: float | None = None,
     timing: RepairTiming | None = None,
-    batched: bool = True,
     sparse: bool | None = None,
     max_chunk_bytes: int | None = None,
     engine=None,
@@ -83,15 +81,9 @@ def point_repair(
         An existing :class:`RepairTiming` to accumulate into (used by the
         polytope repair algorithm, which has already spent time computing
         linear regions).
-    batched:
-        ``True`` (the default) computes all spec-point Jacobians in one
-        vectorized pass and encodes the LP constraints as a single block;
-        ``False`` uses the legacy one-point-at-a-time loop.  Both paths
-        build the same LP (identical rows in identical order) — the flag
-        exists for differential testing and performance comparison.
     sparse:
         Forwarded to :meth:`repro.lp.model.LPModel.solve`: ``True`` hands
-        the backend a CSR standard form, ``False`` a dense one, ``None``
+        the backend a CSR standard form, ``False`` its densified copy, ``None``
         (default) lets the backend's ``supports_sparse`` flag decide.
     max_chunk_bytes:
         ``None`` (default) keeps the in-memory path: one dense
@@ -130,34 +122,16 @@ def point_repair(
     add_norm_objective(model, delta_indices, norm)
 
     with watch.phase("jacobian"):
-        if max_chunk_bytes is not None:
-            stream = JacobianChunkStream(
+        if max_chunk_bytes is None:
+            blocks = [encode_constraints_batched(ddnn, layer_index, spec)]
+        else:
+            blocks = JacobianChunkStream(
                 ddnn, layer_index, spec, max_chunk_bytes=max_chunk_bytes, engine=engine
             )
-            constraint_rows = 0
-            for matrix, rhs in stream:
-                model.add_leq_block(matrix, rhs, delta_indices)
-                constraint_rows += int(rhs.size)
-            encoded_blocks = []
-        elif batched:
-            lhs, rhs = encode_constraints_batched(ddnn, layer_index, spec)
-            encoded_blocks = [(lhs, rhs)]
-            constraint_rows = rhs.size
-        else:
-            constraint_rows = 0
-            encoded_blocks = []
-            for index in range(spec.num_points):
-                output, jacobian = ddnn.parameter_jacobian(
-                    layer_index, spec.points[index], spec.activation_point(index)
-                )
-                constraint = spec.constraints[index]
-                # A_x (N(x) + J Δ) ≤ b_x   ⇔   (A_x J) Δ ≤ b_x - A_x N(x)
-                encoded_blocks.append(
-                    (constraint.a @ jacobian, constraint.b - constraint.a @ output)
-                )
-                constraint_rows += constraint.num_constraints
-    for matrix, rhs in encoded_blocks:
-        model.add_leq_block(matrix, rhs, delta_indices)
+        constraint_rows = 0
+        for matrix, rhs in blocks:
+            model.add_leq_block(matrix, rhs, delta_indices)
+            constraint_rows += int(rhs.size)
 
     with watch.phase("lp"):
         solution = model.solve(backend, sparse=sparse)
@@ -199,12 +173,6 @@ def point_repair(
         objective_value=solution.objective,
         norm=norm,
     )
-
-
-# The grouped-einsum encoder moved to repro.core.jacobian so the chunk
-# stream and the engine workers can share it; the old private name stays
-# importable for differential tests written against it.
-_encode_constraints_batched = encode_constraints_batched
 
 
 def _input_size(network: Network | DecoupledNetwork) -> int:
@@ -284,33 +252,29 @@ class IncrementalPointRepairSession:
                 f"network expects {self.ddnn.input_size}"
             )
         watch = Stopwatch()
-        if self.max_chunk_bytes is not None:
-            # Out-of-core append: the chunk stream yields bounded CSR row
-            # blocks which append_rows ingests one at a time, so neither the
-            # dense intermediate nor more than one chunk is ever in flight.
-            with watch.phase("jacobian"):
-                stream = JacobianChunkStream(
+        with watch.phase("jacobian"):
+            if self.max_chunk_bytes is None:
+                # The single-point pad (see encode_constraints_padded): NumPy
+                # routes one-row matmuls through a different BLAS kernel than
+                # larger batches, whose last-bit rounding differs — padding
+                # keeps every appended row on the same batched code path as a
+                # cold whole-pool encoding, preserving byte-identity.
+                blocks = [encode_constraints_padded(self.ddnn, self.layer_index, spec)]
+            else:
+                # Out-of-core append: the chunk stream yields bounded CSR row
+                # blocks which append_rows ingests one at a time, so neither
+                # the dense intermediate nor more than one chunk is ever in
+                # flight.
+                blocks = JacobianChunkStream(
                     self.ddnn,
                     self.layer_index,
                     spec,
                     max_chunk_bytes=self.max_chunk_bytes,
                     engine=self.engine,
                 )
-                rows = self.session.append_rows(
-                    stream=(
-                        (matrix, rhs, self.delta_indices) for matrix, rhs in stream
-                    )
-                )
-        else:
-            with watch.phase("jacobian"):
-                # The single-point pad (see encode_constraints_padded): NumPy
-                # routes one-row matmuls through a different BLAS kernel than
-                # larger batches, whose last-bit rounding differs — padding
-                # keeps every appended row on the same batched code path as a
-                # cold whole-pool encoding, preserving byte-identity.
-                lhs, rhs = encode_constraints_padded(self.ddnn, self.layer_index, spec)
-            self.model.add_leq_block(lhs, rhs, self.delta_indices)
-            rows = self.session.append_rows()
+            rows = self.session.append_rows(
+                stream=((matrix, rhs, self.delta_indices) for matrix, rhs in blocks)
+            )
         self.num_points += spec.num_points
         self.constraint_rows += rows
         self.rows_appended_last = rows

@@ -2,7 +2,7 @@
 
 :class:`DriverConfig` captures every *algorithm* knob of
 :class:`~repro.driver.driver.RepairDriver` — mode, layer schedule, margins,
-budgets, the incremental/warm-start/batched/sparse switches, the LP backend
+budgets, the incremental/warm-start/sparse switches, the LP backend
 — as one frozen dataclass that round-trips through JSON.  Runtime resources
 (the network, the spec, the verifier, an engine, a pool, a checkpoint path,
 a holdout set) deliberately stay out: a config describes *how* to run a
@@ -18,9 +18,11 @@ keyword sprawl applied), so a malformed job fails at decode time with a
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 
 from repro.exceptions import RepairError
+from repro.lp.norms import SUPPORTED_NORMS
 
 #: How much every pooled constraint is tightened when building the repair LP,
 #: so repaired outputs survive re-verification strictly.
@@ -48,7 +50,6 @@ class DriverConfig:
     norm: str = "linf"
     backend: str | None = None
     delta_bound: float | None = None
-    batched: bool = True
     sparse: bool | None = None
     memory_budget: int | None = None
 
@@ -71,7 +72,6 @@ class DriverConfig:
             )
         object.__setattr__(self, "incremental", bool(self.incremental))
         object.__setattr__(self, "warm_start", bool(self.warm_start))
-        object.__setattr__(self, "batched", bool(self.batched))
         if self.sparse is not None:
             object.__setattr__(self, "sparse", bool(self.sparse))
         if self.memory_budget is not None:
@@ -81,8 +81,22 @@ class DriverConfig:
             raise RepairError(f'mode must be "point" or "polytope", got {self.mode!r}')
         if self.max_rounds < 1:
             raise RepairError("the driver needs at least one round")
-        if self.incremental and not self.batched:
-            raise RepairError("incremental mode requires the batched repair engine")
+        if self.norm not in SUPPORTED_NORMS:
+            raise RepairError(f"norm must be one of {SUPPORTED_NORMS}, got {self.norm!r}")
+        if not (math.isfinite(self.repair_margin) and self.repair_margin >= 0.0):
+            raise RepairError(
+                f"repair_margin must be finite and non-negative, got {self.repair_margin}"
+            )
+        if self.budget_seconds is not None and not self.budget_seconds >= 0.0:
+            raise RepairError(
+                f"budget_seconds must be non-negative (or None), got {self.budget_seconds}"
+            )
+        if self.delta_bound is not None and not (
+            math.isfinite(self.delta_bound) and self.delta_bound >= 0.0
+        ):
+            raise RepairError(
+                f"delta_bound must be finite and non-negative (or None), got {self.delta_bound}"
+            )
         if self.max_new_counterexamples is not None and self.max_new_counterexamples < 1:
             raise RepairError("max_new_counterexamples must be positive (or None)")
         if self.layer_schedule is not None and len(self.layer_schedule) == 0:
@@ -94,8 +108,8 @@ class DriverConfig:
 
     @staticmethod
     def _validate_backend(spec: str) -> None:
-        """Reject unknown backend names / malformed ``race:`` specs at decode
-        time, so a job that misspells its LP portfolio fails before round 1.
+        """Reject unknown backend names at decode time, so a job that
+        misspells its LP backend fails before round 1.
 
         Degraded-but-registered backends (``highs_native`` without
         ``highspy``) pass: degradation is a capability, not a config error.
@@ -125,7 +139,7 @@ class DriverConfig:
         Unknown keys are rejected rather than ignored: a job that misspells
         a knob must fail loudly, not silently run with the default.  One
         spelling convenience: ``lp_backend`` is accepted as an alias for
-        ``backend`` (the name used in docs and racing examples), but never
+        ``backend``, but never
         alongside it.
         """
         if "lp_backend" in payload:

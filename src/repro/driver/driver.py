@@ -3,12 +3,12 @@
 Each round the driver (1) runs a :class:`~repro.verify.base.Verifier` over
 the target regions, (2) grows a deduplicating
 :class:`~repro.driver.pool.CounterexamplePool` with whatever violations were
-found, (3) solves one batched pointwise repair (the PR 1 engine) of the
-*original* network against the whole pool, and (4) re-verifies the repaired
-network.  Repairing against the full pool from the original network — rather
-than chaining incremental repairs — keeps the applied delta minimal-norm
-with respect to the buggy network and makes every round's LP a superset of
-the last, so progress is monotone.
+found, (3) solves one pointwise repair of the *original* network against
+the whole pool, and (4) re-verifies the repaired network.  Repairing against
+the full pool from the original network — rather than chaining incremental
+repairs — keeps the applied delta minimal-norm with respect to the buggy
+network and makes every round's LP a superset of the last, so progress is
+monotone.
 
 Counterexamples from the exact verifier carry the interior point of the
 linear region they violate; the pool pins each one to that activation
@@ -331,7 +331,7 @@ class RepairDriver:
         way incremental CEGIS implementations often do, trading more rounds
         for smaller per-round LPs (and giving benchmarks a deterministic
         way to scale round counts).
-    norm, backend, delta_bound, batched, sparse:
+    norm, backend, delta_bound, sparse:
         Forwarded to :func:`repro.core.point_repair.point_repair`.
     memory_budget:
         Soft cap, in bytes, on the repair data path's resident footprint —
@@ -420,7 +420,6 @@ class RepairDriver:
         self.norm = config.norm
         self.backend = config.backend
         self.delta_bound = config.delta_bound
-        self.batched = config.batched
         self.sparse = config.sparse
         self._session: IncrementalPointRepairSession | None = None
         # Pool *entries* already encoded into the standing session: in
@@ -549,7 +548,6 @@ class RepairDriver:
                             norm=self.norm,
                             backend=self.backend,
                             delta_bound=self.delta_bound,
-                            batched=self.batched,
                             sparse=self.sparse,
                             max_chunk_bytes=self.max_chunk_bytes,
                             engine=self.engine,

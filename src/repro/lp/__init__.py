@@ -12,10 +12,6 @@ same capability with two interchangeable backends:
   two-phase simplex implementation, useful for small LPs and as an
   independent cross-check of the default backend.
 
-Backends can also be raced: ``get_backend("race:highs_native,scipy")``
-runs every member concurrently per solve and always returns the
-first-listed member's answer (see :mod:`repro.lp.racing`).
-
 The modelling layer (:class:`repro.lp.model.LPModel`) supports named scalar
 and vector variables, ``≤``/``≥``/``=`` constraints, box bounds, linear
 objectives, and the ℓ1/ℓ∞ norm objectives used by the repair algorithms
@@ -32,7 +28,6 @@ from repro.lp.backends import (
     register_backend,
     unregister_backend,
 )
-from repro.lp.racing import RacingBackend, parse_race_spec
 
 __all__ = [
     "LPModel",
@@ -41,11 +36,9 @@ __all__ = [
     "WarmStart",
     "LPStatus",
     "LinearExpression",
-    "RacingBackend",
     "available_backends",
     "backend_capabilities",
     "get_backend",
-    "parse_race_spec",
     "register_backend",
     "unregister_backend",
 ]

@@ -1,6 +1,6 @@
 """LP solver backends.
 
-Three backends are provided, plus a racing combinator:
+Three backends are provided:
 
 ``"scipy"``
     scipy's HiGHS solver (dual simplex / interior point).  This is the
@@ -14,11 +14,6 @@ Three backends are provided, plus a racing combinator:
     A from-scratch dense two-phase simplex implementation.  It exists so the
     package has no hard algorithmic dependency on scipy's solver, serves as a
     cross-check in the test-suite, and is used in ablation benchmarks.
-``"race:a,b[,c]"``
-    A racing portfolio over 2–3 registered backends (see
-    :mod:`repro.lp.racing`): every solve runs on all members concurrently,
-    the returned answer is always the first-listed member's, so racing is
-    byte-identical to a solo run of the preferred backend.
 """
 
 from __future__ import annotations
@@ -40,21 +35,17 @@ DEFAULT_BACKEND = "scipy"
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`get_backend` (racing specs aside)."""
+    """Names accepted by :func:`get_backend`."""
     return tuple(sorted(_BACKENDS))
 
 
 def register_backend(name: str, factory: type[LPBackend]) -> None:
     """Register (or replace) a backend under ``name``.
 
-    This is how the test-suite injects fault-injection stubs (crashing or
-    hanging racers); production backends are registered at import time
-    above.  Names are case-insensitive and must not look like racing specs.
+    This is how the test-suite injects stub backends; production backends
+    are registered at import time above.  Names are case-insensitive.
     """
-    key = name.lower()
-    if key.startswith("race:"):
-        raise LPError(f"cannot register {name!r}: 'race:' prefix is reserved")
-    _BACKENDS[key] = factory
+    _BACKENDS[name.lower()] = factory
 
 
 def unregister_backend(name: str) -> None:
@@ -63,46 +54,27 @@ def unregister_backend(name: str) -> None:
 
 
 def get_backend(name: str | None = None) -> LPBackend:
-    """Instantiate a backend by name (``None`` gives the default).
-
-    ``"race:a,b"`` specs instantiate every member and wrap them in a
-    :class:`~repro.lp.racing.RacingBackend`, preference order preserved.
-    """
+    """Instantiate a backend by name (``None`` gives the default)."""
     key = (name or DEFAULT_BACKEND).lower()
-    if key.startswith("race:"):
-        from repro.lp.racing import RacingBackend, parse_race_spec
-
-        members = [get_backend(member) for member in parse_race_spec(key)]
-        return RacingBackend(members)
     if key not in _BACKENDS:
         raise LPError(f"unknown LP backend {name!r}; available: {available_backends()}")
     return _BACKENDS[key]()
 
 
 def backend_capabilities(name: str | None = None) -> dict[str, object]:
-    """Capability probe for one backend spec, without running a solve.
+    """Capability probe for one backend name, without running a solve.
 
-    Returns ``{"name", "available", "supports_sparse", "warm_start_is_exact",
-    "members"}`` — ``available`` is ``False`` when the backend (or, for a
-    racing spec, any member) is degraded because its native solver is
-    missing; ``members`` lists the per-member probes for racing specs and is
-    empty otherwise.  The ``requires_highspy`` test marker and the CI matrix
-    leg consult this instead of importing ``highspy`` themselves.
+    Returns ``{"name", "available", "supports_sparse", "warm_start_is_exact"}``
+    — ``available`` is ``False`` when the backend is degraded because its
+    native solver is missing.  The ``requires_highspy`` test marker and the
+    CI matrix leg consult this instead of importing ``highspy`` themselves.
     """
     backend = get_backend(name)
-    members = [
-        backend_capabilities(member.name)
-        for member in getattr(backend, "backends", [])
-    ]
-    available = bool(getattr(backend, "available", True)) and all(
-        member["available"] for member in members
-    )
     return {
         "name": backend.name,
-        "available": available,
+        "available": bool(getattr(backend, "available", True)),
         "supports_sparse": backend.supports_sparse,
         "warm_start_is_exact": backend.warm_start_is_exact,
-        "members": members,
     }
 
 

@@ -78,9 +78,9 @@ class LPBackend(abc.ABC):
         :class:`~repro.lp.model.LPSession` consults this before threading a
         handle through, so handles never reach a solver that cannot even
         recognize their provenance.  The default accepts only this backend's
-        own handles; composite backends (racing portfolios, fallback
-        wrappers) override it to accept their members' names — the handle a
-        racing solve returns is minted by whichever member answered.
+        own handles; a backend that delegates to another (the degraded
+        ``highs_native`` answers through scipy) overrides it to accept the
+        delegate's handles too.
         """
         return warm_start.backend == self.name
 

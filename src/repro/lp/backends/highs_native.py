@@ -15,7 +15,7 @@ directly through its ``highspy`` bindings instead:
   dual-simplex cleanup of the appended rows only;
 * every optimal solve mints a :class:`~repro.lp.model.WarmStart` whose
   payload carries the final **HiGHS basis** (column/row statuses), so a
-  *different* backend instance — a resumed session, a racing portfolio —
+  *different* backend instance — a resumed session, for example —
   can still seed ``Highs.setBasis`` with the previous basis extended by
   basic slacks for the new rows (the classic dual-feasible extension);
 * any mismatch (variables changed, equality block changed, bounds or
@@ -177,7 +177,7 @@ class HighsNativeBackend(LPBackend):
         #: (``None`` when the retained basis was never handed out).
         self._retained_token: int | None = None
         # The instance retains one live ``highspy.Highs`` across solves, so
-        # concurrent callers (a racing portfolio's threads) must serialize.
+        # callers sharing an instance across threads must serialize.
         self._native_lock = threading.Lock()
 
     @property

@@ -14,13 +14,14 @@ Standard form passed to backends::
                 lb <= x <= ub        (entries may be ±inf)
 
 Constraint blocks are stored narrow — each block keeps only the columns it
-actually touches — and :meth:`LPModel.standard_form` widens them on demand.
-The dense path materializes full ``(rows, num_variables)`` arrays, which is
-O(rows × vars) memory regardless of sparsity; the sparse fast path
-(``standard_form(sparse=True)``) assembles ``scipy.sparse`` CSR matrices
-directly from the narrow blocks and is what the batched repair engine hands
-to sparse-capable backends.  :meth:`LPModel.solve` picks the representation
-automatically from the backend's ``supports_sparse`` flag.
+actually touches.  One assembler widens them: every block becomes a
+full-width ``scipy.sparse`` CSR matrix (:func:`_widen_block`) and the blocks
+of each sense are stacked in insertion order (:func:`_stack_blocks`).  Both
+:meth:`LPModel.standard_form` and the incremental :class:`LPSession` build
+through that pair, so a cold and an incremental assembly of the same model
+are the same arrays.  ``sparse=False`` hands the backend dense arrays — one
+densify of the assembled CSR form; :meth:`LPModel.solve` picks the
+representation from the backend's ``supports_sparse`` flag.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class _ConstraintBlock:
     """A block of constraints ``matrix @ x[columns] (sense) rhs``.
 
     ``matrix`` is either a dense float64 array or a canonical CSR matrix;
-    every consumer branches on :func:`scipy.sparse.issparse`.
+    :func:`_widen_block` turns either into full-width CSR.
     """
 
     matrix: np.ndarray | sp.csr_matrix
@@ -304,8 +305,7 @@ class LPModel:
         if columns.size and (columns.min() < 0 or columns.max() >= self._num_variables):
             raise LPError("constraint references an unknown variable index")
         if np.unique(columns).size != columns.size:
-            # Duplicates would make the dense (last-write-wins) and sparse
-            # (summing) assemblies disagree on the same model.
+            # The CSR assembly would silently sum duplicate columns.
             raise LPError("constraint block columns must be unique")
 
     # ------------------------------------------------------------------
@@ -337,82 +337,32 @@ class LPModel:
     def standard_form(self, sparse: bool = False):
         """Assemble ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``.
 
-        With ``sparse=False`` (the default) the constraint matrices are dense
-        ``(rows, num_variables)`` arrays — simple, but O(rows × vars) even
-        when most entries are structural zeros.  With ``sparse=True`` they
-        are ``scipy.sparse`` CSR matrices assembled directly from the narrow
-        constraint blocks, never materializing full-width rows; this is the
-        fast path used for large repair LPs, whose constraint matrices are
-        mostly zero outside each block's column set.  ``c``, the right-hand
-        sides, and ``bounds`` are dense in both modes.
+        The constraint matrices are ``scipy.sparse`` CSR matrices built from
+        the narrow constraint blocks without materializing full-width rows;
+        with ``sparse=False`` (the default) that same form is densified into
+        ``(rows, num_variables)`` arrays.  ``c``, the right-hand sides, and
+        ``bounds`` are dense in both modes.
         """
+        n = self._num_variables
+        a_ub, b_ub = _stack_blocks(
+            [(_widen_block(block, n), block.rhs) for block in self._blocks if not block.equality], n
+        )
+        a_eq, b_eq = _stack_blocks(
+            [(_widen_block(block, n), block.rhs) for block in self._blocks if block.equality], n
+        )
+        if not sparse:
+            a_ub, a_eq = a_ub.toarray(), a_eq.toarray()
+        c, bounds = self._objective_and_bounds()
+        return c, a_ub, b_ub, a_eq, b_eq, bounds
+
+    def _objective_and_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense objective vector and the ``(n, 2)`` variable bounds."""
         n = self._num_variables
         c = np.zeros(n)
         for index, coefficient in self._objective.items():
             c[index] = coefficient
         bounds = np.column_stack([self._lower, self._upper]) if n else np.zeros((0, 2))
-
-        if sparse:
-            a_ub, b_ub = self._assemble_sparse(equality=False)
-            a_eq, b_eq = self._assemble_sparse(equality=True)
-            return c, a_ub, b_ub, a_eq, b_eq, bounds
-
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for block in self._blocks:
-            narrow = block.matrix.toarray() if sp.issparse(block.matrix) else block.matrix
-            dense = np.zeros((narrow.shape[0], n))
-            dense[:, block.columns] = narrow
-            if block.equality:
-                eq_rows.append(dense)
-                eq_rhs.append(block.rhs)
-            else:
-                ub_rows.append(dense)
-                ub_rhs.append(block.rhs)
-
-        a_ub = np.vstack(ub_rows) if ub_rows else np.zeros((0, n))
-        b_ub = np.concatenate(ub_rhs) if ub_rhs else np.zeros(0)
-        a_eq = np.vstack(eq_rows) if eq_rows else np.zeros((0, n))
-        b_eq = np.concatenate(eq_rhs) if eq_rhs else np.zeros(0)
-        return c, a_ub, b_ub, a_eq, b_eq, bounds
-
-    def _assemble_sparse(self, equality: bool) -> tuple[sp.csr_matrix, np.ndarray]:
-        """CSR matrix and rhs of all blocks with the given sense."""
-        n = self._num_variables
-        data_parts: list[np.ndarray] = []
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        rhs_parts: list[np.ndarray] = []
-        row_offset = 0
-        for block in self._blocks:
-            if block.equality is not equality:
-                continue
-            if sp.issparse(block.matrix):
-                # Canonical CSR → COO keeps entries in row-major order,
-                # exactly the order np.nonzero produces on the dense
-                # equivalent — so sparse and dense blocks assemble the
-                # same final CSR arrays byte for byte.
-                coo = block.matrix.tocoo()
-                data_parts.append(coo.data)
-                row_parts.append(row_offset + coo.row)
-                col_parts.append(block.columns[coo.col])
-            else:
-                local_rows, local_cols = np.nonzero(block.matrix)
-                data_parts.append(block.matrix[local_rows, local_cols])
-                row_parts.append(row_offset + local_rows)
-                col_parts.append(block.columns[local_cols])
-            rhs_parts.append(block.rhs)
-            row_offset += block.matrix.shape[0]
-        rhs = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0)
-        if not data_parts:
-            return sp.csr_matrix((row_offset, n)), rhs
-        matrix = sp.coo_matrix(
-            (
-                np.concatenate(data_parts),
-                (np.concatenate(row_parts), np.concatenate(col_parts)),
-            ),
-            shape=(row_offset, n),
-        )
-        return matrix.tocsr(), rhs
+        return c, bounds
 
     @property
     def num_constraints(self) -> int:
@@ -423,8 +373,8 @@ class LPModel:
         """Solve the model with the named backend (default: ``"scipy"``).
 
         ``sparse`` selects the standard-form representation handed to the
-        backend: ``True`` forces the CSR fast path, ``False`` forces dense,
-        and ``None`` (the default) uses CSR exactly when the backend
+        backend: ``True`` hands it the CSR form, ``False`` the densified
+        form, and ``None`` (the default) uses CSR exactly when the backend
         advertises ``supports_sparse`` — backends without sparse support
         (e.g. the educational simplex) densify lazily on entry either way.
         """
@@ -454,7 +404,7 @@ class LPModel:
         return LPSession(self, sparse=sparse, tail_blocks=tail_blocks, backend=backend)
 
 
-def _widen_block_sparse(block: _ConstraintBlock, num_variables: int) -> sp.csr_matrix:
+def _widen_block(block: _ConstraintBlock, num_variables: int) -> sp.csr_matrix:
     """One narrow constraint block as a full-width CSR matrix."""
     if sp.issparse(block.matrix):
         matrix = block.matrix
@@ -473,6 +423,9 @@ def _widen_block_sparse(block: _ConstraintBlock, num_variables: int) -> sp.csr_m
             (coo.data, (coo.row, block.columns[coo.col])),
             shape=(matrix.shape[0], num_variables),
         ).tocsr()
+    # Canonical CSR → COO keeps entries in row-major order, exactly the
+    # order np.nonzero gives here, so a dense block and its CSR twin widen
+    # to the same arrays byte for byte.
     local_rows, local_cols = np.nonzero(block.matrix)
     return sp.coo_matrix(
         (block.matrix[local_rows, local_cols], (local_rows, block.columns[local_cols])),
@@ -480,12 +433,15 @@ def _widen_block_sparse(block: _ConstraintBlock, num_variables: int) -> sp.csr_m
     ).tocsr()
 
 
-def _widen_block_dense(block: _ConstraintBlock, num_variables: int) -> np.ndarray:
-    """One narrow constraint block as a full-width dense matrix."""
-    narrow = block.matrix.toarray() if sp.issparse(block.matrix) else block.matrix
-    wide = np.zeros((narrow.shape[0], num_variables))
-    wide[:, block.columns] = narrow
-    return wide
+def _stack_blocks(
+    parts: list[tuple[sp.csr_matrix, np.ndarray]], num_variables: int
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Widened ``(matrix, rhs)`` blocks of one sense, stacked in order."""
+    if not parts:
+        return sp.csr_matrix((0, num_variables)), np.zeros(0)
+    matrices = [matrix for matrix, _ in parts]
+    matrix = sp.vstack(matrices).tocsr() if len(matrices) > 1 else matrices[0]
+    return matrix, np.concatenate([rhs for _, rhs in parts])
 
 
 class LPSession:
@@ -533,16 +489,11 @@ class LPSession:
                 f"tail_blocks is {tail_blocks}, model has {len(model._blocks)} blocks"
             )
         self._num_variables = model.num_variables
-        # Widened per-block parts, in row order: head parts grow via
-        # append_rows, tail parts are pinned to the bottom.
-        self._ub_parts: list = []
-        self._ub_rhs: list[np.ndarray] = []
-        self._eq_parts: list = []
-        self._eq_rhs: list[np.ndarray] = []
-        self._ub_tail: list = []
-        self._ub_tail_rhs: list[np.ndarray] = []
-        self._eq_tail: list = []
-        self._eq_tail_rhs: list[np.ndarray] = []
+        # Widened (matrix, rhs) blocks per sense (keyed by ``equality``), in
+        # row order: head blocks grow via append_rows, tail blocks are
+        # pinned to the bottom.
+        self._head: dict[bool, list] = {False: [], True: []}
+        self._tail: dict[bool, list] = {False: [], True: []}
         self._consumed = 0
         self.rows_appended = 0
         self._cached_matrices: tuple | None = None
@@ -553,17 +504,9 @@ class LPSession:
 
     def _consume(self, blocks: list[_ConstraintBlock], tail: bool) -> int:
         rows = 0
-        n = self._num_variables
+        parts = self._tail if tail else self._head
         for block in blocks:
-            widened = (
-                _widen_block_sparse(block, n) if self.sparse else _widen_block_dense(block, n)
-            )
-            if block.equality:
-                (self._eq_tail if tail else self._eq_parts).append(widened)
-                (self._eq_tail_rhs if tail else self._eq_rhs).append(block.rhs)
-            else:
-                (self._ub_tail if tail else self._ub_parts).append(widened)
-                (self._ub_tail_rhs if tail else self._ub_rhs).append(block.rhs)
+            parts[block.equality].append((_widen_block(block, self._num_variables), block.rhs))
             rows += block.matrix.shape[0]
         return rows
 
@@ -610,19 +553,12 @@ class LPSession:
     @property
     def num_rows(self) -> int:
         """Constraint rows currently assembled (head plus pinned tail)."""
-        return sum(int(rhs.shape[0]) for rhs in
-                   (*self._ub_rhs, *self._ub_tail_rhs, *self._eq_rhs, *self._eq_tail_rhs))
-
-    def _stack(self, parts: list, rhs_parts: list[np.ndarray]):
-        n = self._num_variables
-        if not parts:
-            empty = sp.csr_matrix((0, n)) if self.sparse else np.zeros((0, n))
-            return empty, np.zeros(0)
-        stacker = sp.vstack if self.sparse else np.vstack
-        matrix = stacker(parts) if len(parts) > 1 else parts[0]
-        if self.sparse:
-            matrix = matrix.tocsr()
-        return matrix, np.concatenate(rhs_parts)
+        return sum(
+            int(rhs.shape[0])
+            for parts in (self._head, self._tail)
+            for blocks in parts.values()
+            for _, rhs in blocks
+        )
 
     def standard_form(self):
         """The assembled ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``.
@@ -638,21 +574,14 @@ class LPSession:
                 "incremental sessions only support appending constraint rows"
             )
         if self._cached_matrices is None:
-            self._cached_matrices = (
-                self._stack(self._ub_parts + self._ub_tail, self._ub_rhs + self._ub_tail_rhs),
-                self._stack(self._eq_parts + self._eq_tail, self._eq_rhs + self._eq_tail_rhs),
-            )
-        (a_ub, b_ub), (a_eq, b_eq) = self._cached_matrices
-        n = self._num_variables
-        c = np.zeros(n)
-        for index, coefficient in self.model._objective.items():
-            c[index] = coefficient
-        bounds = (
-            np.column_stack([self.model._lower[:n], self.model._upper[:n]])
-            if n
-            else np.zeros((0, 2))
-        )
-        return c, a_ub, b_ub, a_eq, b_eq, bounds
+            n = self._num_variables
+            a_ub, b_ub = _stack_blocks(self._head[False] + self._tail[False], n)
+            a_eq, b_eq = _stack_blocks(self._head[True] + self._tail[True], n)
+            if not self.sparse:
+                a_ub, a_eq = a_ub.toarray(), a_eq.toarray()
+            self._cached_matrices = (a_ub, b_ub, a_eq, b_eq)
+        c, bounds = self.model._objective_and_bounds()
+        return c, *self._cached_matrices, bounds
 
     def solve(self, warm_start: WarmStart | None = None) -> LPSolution:
         """Solve the current form, optionally warm-started.

@@ -1,10 +1,12 @@
-"""Differential tests for the batched repair engine and the sparse LP path.
+"""Differential tests for the repair encoder and the CSR LP assembly.
 
-The batched engine (vectorized multi-point Jacobians + single-block
-constraint encoding + CSR standard form) must be observationally identical
-to the legacy per-point loop and dense assembly it replaces: same Jacobians,
-same LP rows, same statuses, same deltas.  These tests pin that equivalence
-at every level — layer, DDNN, LP model, and the two repair algorithms.
+The production encoder (vectorized multi-point Jacobians + grouped-einsum
+constraint rows, dense or streamed as CSR chunks) is checked against the
+per-point reference encoder in ``tests/reference_encoder.py``: same
+Jacobians, same LP rows, same statuses, same deltas.  The CSR standard-form
+assembly is checked against a dense widening written here.  Together these
+pin the one repair data path at every level — layer, DDNN, LP model, and
+the two repair algorithms.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.ddnn import DecoupledNetwork
-from repro.core.jacobian import specification_jacobians
+from repro.core.jacobian import JacobianChunkStream, encode_constraints_batched
 from repro.core.point_repair import point_repair
-from repro.core.polytope_repair import polytope_repair
+from repro.core.polytope_repair import polytope_repair, reduce_to_key_points
 from repro.core.specs import PointRepairSpec, PolytopeRepairSpec
 from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
@@ -31,6 +33,7 @@ from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 
 from tests.conftest import make_random_relu_network, make_random_tanh_network
+from tests.reference_encoder import reference_encode, reference_point_repair
 
 
 def make_conv_network(rng: np.random.Generator) -> Network:
@@ -46,6 +49,38 @@ def make_conv_network(rng: np.random.Generator) -> Network:
             FullyConnectedLayer.from_shape(3 * 4 * 4, 5, rng),
         ]
     )
+
+
+NETWORKS = {
+    "relu": make_random_relu_network,
+    "tanh": make_random_tanh_network,
+    "conv": make_conv_network,
+}
+
+
+def labelled_spec(rng, network, count, margin=0.0, activation_noise=0.0):
+    """A random argmax spec; optional activation points near the inputs."""
+    points = rng.normal(size=(count, network.input_size))
+    labels = rng.integers(0, network.output_size, size=count)
+    spec = PointRepairSpec.from_labels(
+        points, labels, num_classes=network.output_size, margin=margin
+    )
+    if activation_noise:
+        spec = PointRepairSpec(
+            points=spec.points,
+            constraints=spec.constraints,
+            activation_points=points + activation_noise * rng.normal(size=points.shape),
+        )
+    return spec
+
+
+def assert_repairs_agree(result, reference):
+    assert result.lp_status == reference.lp_status
+    assert result.feasible == reference.feasible
+    assert result.num_constraint_rows == reference.num_constraint_rows
+    if result.feasible:
+        np.testing.assert_allclose(result.delta, reference.delta, atol=1e-6)
+        assert result.objective_value == pytest.approx(reference.objective_value, abs=1e-7)
 
 
 class TestBatchedJacobians:
@@ -98,17 +133,6 @@ class TestBatchedJacobians:
             np.testing.assert_allclose(outputs[index], output, atol=1e-12)
             np.testing.assert_allclose(jacobians[index], jacobian, atol=1e-12)
 
-    def test_specification_jacobians_dispatch(self, rng):
-        network = make_random_relu_network(rng)
-        ddnn = DecoupledNetwork.from_network(network)
-        points = rng.normal(size=(6, network.input_size))
-        labels = rng.integers(0, network.output_size, size=6)
-        spec = PointRepairSpec.from_labels(points, labels, num_classes=network.output_size)
-        outputs_batched, jacobians_batched = specification_jacobians(ddnn, 0, spec, batched=True)
-        outputs_loop, jacobians_loop = specification_jacobians(ddnn, 0, spec, batched=False)
-        np.testing.assert_allclose(outputs_batched, outputs_loop, atol=1e-12)
-        np.testing.assert_allclose(jacobians_batched, jacobians_loop, atol=1e-12)
-
     def test_batch_channel_traces_match_single(self, rng):
         network = make_random_relu_network(rng)
         ddnn = DecoupledNetwork.from_network(network)
@@ -122,29 +146,71 @@ class TestBatchedJacobians:
                 np.testing.assert_allclose(entry[0], batch_entry[index], atol=1e-12)
 
 
+class TestReferenceEncoder:
+    """The production encoder == the per-point reference encoder, row for row."""
+
+    @pytest.mark.parametrize("kind", sorted(NETWORKS))
+    def test_encoder_matches_reference(self, rng, kind):
+        network = NETWORKS[kind](rng)
+        ddnn = DecoupledNetwork.from_network(network)
+        spec = labelled_spec(rng, network, 6, activation_noise=0.05)
+        for layer_index in ddnn.repairable_layer_indices():
+            lhs, rhs = encode_constraints_batched(ddnn, layer_index, spec)
+            ref_lhs, ref_rhs = reference_encode(ddnn, layer_index, spec)
+            np.testing.assert_allclose(lhs, ref_lhs, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(rhs, ref_rhs, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["relu", "conv"])
+    @pytest.mark.parametrize("chunk_bytes", [1, 2_000, 50_000, 10**9])
+    def test_chunk_stream_matches_reference(self, rng, kind, chunk_bytes):
+        # From one point and one parameter per chunk up to a single chunk.
+        network = NETWORKS[kind](rng)
+        ddnn = DecoupledNetwork.from_network(network)
+        spec = labelled_spec(rng, network, 7, activation_noise=0.05)
+        layer_index = ddnn.repairable_layer_indices()[-1]
+        blocks = list(
+            JacobianChunkStream(ddnn, layer_index, spec, max_chunk_bytes=chunk_bytes)
+        )
+        assert all(sp.issparse(block) for block, _ in blocks)
+        ref_lhs, ref_rhs = reference_encode(ddnn, layer_index, spec)
+        np.testing.assert_allclose(
+            sp.vstack([block for block, _ in blocks]).toarray(), ref_lhs, rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            np.concatenate([rhs for _, rhs in blocks]), ref_rhs, rtol=1e-12, atol=1e-12
+        )
+
+
 class TestDifferentialPointRepair:
-    """batched=True and batched=False must yield identical repairs."""
+    """point_repair must agree with the repair LP over the reference encoding."""
 
     @pytest.mark.parametrize("norm", ["linf", "l1", "l1+linf"])
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
     def test_feasible_repair_agrees(self, rng, norm, backend):
         network = make_random_relu_network(rng)
-        points = rng.normal(size=(5, network.input_size))
-        labels = rng.integers(0, network.output_size, size=5)
-        spec = PointRepairSpec.from_labels(
-            points, labels, num_classes=network.output_size, margin=1e-3
-        )
-        batched = point_repair(network, 2, spec, norm=norm, backend=backend, batched=True)
-        legacy = point_repair(
-            network, 2, spec, norm=norm, backend=backend, batched=False, sparse=False
-        )
-        assert batched.lp_status == legacy.lp_status
-        assert batched.feasible == legacy.feasible
-        assert batched.num_constraint_rows == legacy.num_constraint_rows
-        if batched.feasible:
-            np.testing.assert_allclose(batched.delta, legacy.delta, atol=1e-6)
-            assert batched.objective_value == pytest.approx(legacy.objective_value, abs=1e-7)
-            assert spec.is_satisfied_by(batched.network)
+        spec = labelled_spec(rng, network, 5, margin=1e-3)
+        result = point_repair(network, 2, spec, norm=norm, backend=backend)
+        reference = reference_point_repair(network, 2, spec, norm=norm, backend=backend)
+        assert_repairs_agree(result, reference)
+        if result.feasible:
+            assert spec.is_satisfied_by(result.network)
+
+    @pytest.mark.parametrize("norm", ["linf", "l1", "l1+linf"])
+    @pytest.mark.parametrize("kind", ["tanh", "conv"])
+    def test_network_kinds_agree(self, rng, kind, norm):
+        network = NETWORKS[kind](rng)
+        spec = labelled_spec(rng, network, 3, margin=1e-3, activation_noise=0.05)
+        layer_index = DecoupledNetwork.from_network(network).repairable_layer_indices()[-1]
+        result = point_repair(network, layer_index, spec, norm=norm)
+        assert_repairs_agree(result, reference_point_repair(network, layer_index, spec, norm=norm))
+        assert result.feasible
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 4_000, 10**9])
+    def test_chunked_repair_agrees(self, rng, chunk_bytes):
+        network = make_random_relu_network(rng)
+        spec = labelled_spec(rng, network, 6, margin=1e-3)
+        result = point_repair(network, 2, spec, norm="l1", max_chunk_bytes=chunk_bytes)
+        assert_repairs_agree(result, reference_point_repair(network, 2, spec, norm="l1"))
 
     def test_infeasible_repair_agrees(self, toy_network):
         # Contradictory constraints on the same input point: provably infeasible.
@@ -155,10 +221,10 @@ class TestDifferentialPointRepair:
                 HPolytope.from_interval(1, 0, 0.5, 1.0),
             ],
         )
-        batched = point_repair(toy_network, 0, spec, batched=True)
-        legacy = point_repair(toy_network, 0, spec, batched=False, sparse=False)
-        assert batched.lp_status is LPStatus.INFEASIBLE
-        assert legacy.lp_status is LPStatus.INFEASIBLE
+        result = point_repair(toy_network, 0, spec)
+        reference = reference_point_repair(toy_network, 0, spec)
+        assert result.lp_status is LPStatus.INFEASIBLE
+        assert reference.lp_status is LPStatus.INFEASIBLE
 
     def test_mixed_constraint_row_counts(self, rng):
         # Points with different numbers of constraint rows exercise the
@@ -172,15 +238,23 @@ class TestDifferentialPointRepair:
             HPolytope.argmax_region(network.output_size, 2),      # 2 rows
         ]
         spec = PointRepairSpec(points=points, constraints=constraints)
-        batched = point_repair(network, 0, spec, norm="l1", batched=True)
-        legacy = point_repair(network, 0, spec, norm="l1", batched=False, sparse=False)
-        assert batched.lp_status == legacy.lp_status
-        if batched.feasible:
-            np.testing.assert_allclose(batched.delta, legacy.delta, atol=1e-6)
+        result = point_repair(network, 0, spec, norm="l1")
+        assert_repairs_agree(result, reference_point_repair(network, 0, spec, norm="l1"))
+
+
+def reference_polytope_repair(network, layer_index, spec, **kwargs):
+    """Algorithm 2's reduction followed by the reference repair LP."""
+    key_points, activation_points, constraints = reduce_to_key_points(network, spec)
+    point_spec = PointRepairSpec(
+        points=np.array(key_points),
+        constraints=constraints,
+        activation_points=np.array(activation_points),
+    )
+    return reference_point_repair(network, layer_index, point_spec, **kwargs)
 
 
 class TestDifferentialPolytopeRepair:
-    """Polytope repair routed through both engines must agree."""
+    """Polytope repair must agree with the reference encoding of its key points."""
 
     def test_segment_spec_agrees(self, toy_network):
         spec = PolytopeRepairSpec()
@@ -188,12 +262,10 @@ class TestDifferentialPolytopeRepair:
             LineSegment(np.array([0.5]), np.array([1.5])),
             HPolytope.from_interval(1, 0, -0.8, -0.4),
         )
-        batched = polytope_repair(toy_network, 0, spec, norm="l1", batched=True)
-        legacy = polytope_repair(toy_network, 0, spec, norm="l1", batched=False, sparse=False)
-        assert batched.lp_status == legacy.lp_status
-        assert batched.feasible and legacy.feasible
-        np.testing.assert_allclose(batched.delta, legacy.delta, atol=1e-6)
-        assert batched.num_key_points == legacy.num_key_points
+        result = polytope_repair(toy_network, 0, spec, norm="l1")
+        reference = reference_polytope_repair(toy_network, 0, spec, norm="l1")
+        assert result.feasible and reference.feasible
+        assert_repairs_agree(result, reference)
 
     def test_random_relu_segments_agree(self, rng):
         network = make_random_relu_network(rng)
@@ -205,23 +277,23 @@ class TestDifferentialPolytopeRepair:
             HPolytope.from_interval(network.output_size, 0, -50.0, 50.0) for _ in segments
         ]
         spec = PolytopeRepairSpec.from_segments(segments, constraints)
-        batched = polytope_repair(network, 2, spec, batched=True)
-        legacy = polytope_repair(network, 2, spec, batched=False, sparse=False)
-        assert batched.lp_status == legacy.lp_status
-        if batched.feasible:
-            np.testing.assert_allclose(batched.delta, legacy.delta, atol=1e-6)
+        assert_repairs_agree(
+            polytope_repair(network, 2, spec), reference_polytope_repair(network, 2, spec)
+        )
 
 
 def random_lp_model(rng: np.random.Generator) -> LPModel:
-    """A random LPModel mixing narrow blocks, eq rows, bounds, and norms."""
+    """A random LPModel mixing narrow dense/CSR blocks, eq rows, bounds, and norms."""
     model = LPModel()
     delta = model.add_variables(int(rng.integers(2, 6)), "delta", lower=-10.0, upper=10.0)
     extra = model.add_variables(int(rng.integers(1, 4)), "extra")
     for _ in range(int(rng.integers(1, 4))):
-        columns = delta if rng.random() < 0.5 else extra
+        columns = rng.permutation(delta if rng.random() < 0.5 else extra)
         matrix = rng.normal(size=(int(rng.integers(1, 4)), columns.size))
         matrix[rng.random(size=matrix.shape) < 0.3] = 0.0  # structural zeros
         rhs = rng.normal(size=matrix.shape[0]) + 5.0
+        if rng.random() < 0.3:
+            matrix = sp.csr_matrix(matrix)
         if rng.random() < 0.3:
             model.add_eq_block(matrix, rhs, columns)
         else:
@@ -230,8 +302,21 @@ def random_lp_model(rng: np.random.Generator) -> LPModel:
     return model
 
 
+def reference_dense_form(model: LPModel, equality: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every block of one sense widened densely by column assignment."""
+    rows, rhs = [np.zeros((0, model.num_variables))], [np.zeros(0)]
+    for block in model._blocks:
+        if block.equality is equality:
+            narrow = block.matrix.toarray() if sp.issparse(block.matrix) else block.matrix
+            wide = np.zeros((narrow.shape[0], model.num_variables))
+            wide[:, block.columns] = narrow
+            rows.append(wide)
+            rhs.append(block.rhs)
+    return np.vstack(rows), np.concatenate(rhs)
+
+
 class TestSparseStandardForm:
-    """standard_form(sparse=True) must equal the dense assembly exactly."""
+    """The CSR standard form == a dense widening of the same blocks."""
 
     def test_random_models_agree(self, rng):
         for _ in range(25):
@@ -239,12 +324,17 @@ class TestSparseStandardForm:
             c, a_ub, b_ub, a_eq, b_eq, bounds = model.standard_form(sparse=False)
             c_s, a_ub_s, b_ub_s, a_eq_s, b_eq_s, bounds_s = model.standard_form(sparse=True)
             assert sp.issparse(a_ub_s) and sp.issparse(a_eq_s)
+            assert not sp.issparse(a_ub) and not sp.issparse(a_eq)
             np.testing.assert_array_equal(c, c_s)
             np.testing.assert_array_equal(b_ub, b_ub_s)
             np.testing.assert_array_equal(b_eq, b_eq_s)
             np.testing.assert_array_equal(bounds, bounds_s)
             np.testing.assert_array_equal(a_ub, a_ub_s.toarray())
             np.testing.assert_array_equal(a_eq, a_eq_s.toarray())
+            for equality, matrix, rhs in ((False, a_ub, b_ub), (True, a_eq, b_eq)):
+                ref_matrix, ref_rhs = reference_dense_form(model, equality)
+                np.testing.assert_array_equal(matrix, ref_matrix)
+                np.testing.assert_array_equal(rhs, ref_rhs)
 
     def test_empty_model_sparse(self):
         model = LPModel()

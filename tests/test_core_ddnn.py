@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ddnn import DecoupledNetwork
-from repro.core.jacobian import finite_difference_jacobian, specification_jacobians
+from repro.core.jacobian import finite_difference_jacobian
 from repro.core.linearize import linearization_exact_at_center, linearize_activation
-from repro.core.specs import PointRepairSpec
 from repro.exceptions import ShapeError, UnsupportedLayerError
 from repro.nn.activations import ReLULayer, SigmoidLayer, TanhLayer
 from repro.nn.conv import Conv2DLayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
 from repro.nn.pooling import MaxPool2DLayer
-from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
 from tests.conftest import make_random_relu_network, make_random_tanh_network
@@ -201,13 +199,9 @@ class TestTheorem45Linearity:
             numeric = finite_difference_jacobian(ddnn, layer_index, point)
             np.testing.assert_allclose(analytic, numeric, atol=1e-4)
 
-    def test_specification_jacobians_shapes(self, toy_network):
+    def test_batch_parameter_jacobian_shapes(self, toy_network):
         ddnn = DecoupledNetwork.from_network(toy_network)
-        spec = PointRepairSpec(
-            points=np.array([[0.5], [1.5]]),
-            constraints=[HPolytope.from_interval(1, 0, -1.0, 0.0)] * 2,
-        )
-        outputs, jacobians = specification_jacobians(ddnn, 0, spec)
+        outputs, jacobians = ddnn.batch_parameter_jacobian(0, np.array([[0.5], [1.5]]))
         assert outputs.shape == (2, 1)
         assert jacobians.shape == (2, 1, 6)
 

@@ -95,9 +95,21 @@ class TestDriverConfig:
         with pytest.raises(RepairError):
             DriverConfig(layer_schedule=[])
         with pytest.raises(RepairError):
-            DriverConfig(incremental=True, batched=False)
-        with pytest.raises(RepairError):
             DriverConfig(max_new_counterexamples=0)
+        with pytest.raises(RepairError, match="norm"):
+            DriverConfig(norm="l2")
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(RepairError, match="delta_bound"):
+                DriverConfig(delta_bound=bad)
+            with pytest.raises(RepairError, match="repair_margin"):
+                DriverConfig(repair_margin=bad)
+        for bad in (-5.0, float("nan")):
+            with pytest.raises(RepairError, match="budget_seconds"):
+                DriverConfig(budget_seconds=bad)
+        with pytest.raises(RepairError, match="invalid LP backend"):
+            DriverConfig(backend="race:highs_native,scipy")
+        # The boundary values stay legal: tests and jobs use them.
+        DriverConfig(repair_margin=0.0, budget_seconds=0.0, delta_bound=0.0)
 
     def test_replace_revalidates(self):
         config = DriverConfig(max_rounds=5)

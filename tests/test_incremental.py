@@ -29,7 +29,7 @@ from repro.datasets.acas import phi8_property
 from repro.driver import RepairDriver
 from repro.engine import ShardedSyrennEngine
 from repro.engine.jobs import chunk_spans
-from repro.exceptions import EngineError, LPError, RepairError
+from repro.exceptions import EngineError, LPError
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
 from repro.lp.backends import get_backend
 from repro.lp.model import LPModel, WarmStart
@@ -280,17 +280,6 @@ class TestIncrementalDifferential:
             network, spec, verifier, max_rounds=20, incremental=True
         ).run()
         assert verifier.value_only is False
-
-    def test_incremental_requires_batched_engine(self, acas_phi8):
-        network, spec = acas_phi8
-        with pytest.raises(RepairError):
-            RepairDriver(
-                network, spec, SyrennVerifier(), incremental=True, batched=False
-            )
-        with pytest.raises(RepairError):
-            RepairDriver(
-                network, spec, SyrennVerifier(), max_new_counterexamples=0
-            )
 
 
 class TestIncrementalRepairSession:

@@ -23,10 +23,10 @@ from repro.lp.status import LPStatus
 
 BACKENDS = ("scipy", "simplex")
 
-#: Every spec the equivalence oracle runs: all registered backends (the
+#: Every backend the equivalence oracle runs: all registered names (the
 #: ``highs`` alias included, and ``highs_native`` in whichever mode the
-#: environment provides — native or degraded) plus a racing portfolio.
-PORTFOLIO = available_backends() + ("race:scipy,simplex",)
+#: environment provides — native or degraded).
+PORTFOLIO = available_backends()
 
 
 class TestLPModelConstruction:
@@ -204,24 +204,6 @@ class TestBackendRegistry:
     def test_default_backend(self):
         assert get_backend(None).name == "scipy"
 
-    def test_race_spec_instantiates_members_in_order(self):
-        race = get_backend("race:simplex,scipy")
-        assert race.name == "race:simplex,scipy"
-        assert [member.name for member in race.backends] == ["simplex", "scipy"]
-        assert race.preferred.name == "simplex"
-        # The portfolio's capabilities are the preferred member's.
-        assert race.supports_sparse is get_backend("simplex").supports_sparse
-        assert race.warm_start_is_exact is get_backend("simplex").warm_start_is_exact
-
-    @pytest.mark.parametrize("spec", ["race:", "race:scipy", "race:scipy,scipy"])
-    def test_malformed_race_specs_rejected(self, spec):
-        with pytest.raises(LPError):
-            get_backend(spec)
-
-    def test_race_of_unknown_member_rejected(self):
-        with pytest.raises(LPError):
-            get_backend("race:scipy,gurobi")
-
     def test_register_backend_roundtrip(self):
         class StubBackend(get_backend("simplex").__class__):
             name = "stub_for_registry_test"
@@ -230,29 +212,15 @@ class TestBackendRegistry:
         try:
             assert "stub_for_registry_test" in available_backends()
             assert isinstance(get_backend("stub_for_registry_test"), StubBackend)
-            # Registered stubs can immediately join a racing portfolio.
-            race = get_backend("race:scipy,stub_for_registry_test")
-            assert [member.name for member in race.backends][1] == "stub_for_registry_test"
         finally:
             unregister_backend("stub_for_registry_test")
         assert "stub_for_registry_test" not in available_backends()
-
-    def test_race_prefix_not_registrable(self):
-        with pytest.raises(LPError):
-            register_backend("race:sneaky", get_backend("simplex").__class__)
 
     def test_capability_probe_reports_degradation(self):
         probe = backend_capabilities("highs_native")
         assert probe["name"] == "highs_native"
         assert probe["available"] is HIGHSPY_AVAILABLE
         assert probe["supports_sparse"] is True
-        assert probe["members"] == []
-
-    def test_capability_probe_recurses_into_races(self):
-        probe = backend_capabilities("race:highs_native,scipy")
-        assert [member["name"] for member in probe["members"]] == ["highs_native", "scipy"]
-        # A race is only "available" when every member's solver is present.
-        assert probe["available"] is HIGHSPY_AVAILABLE
 
 
 class TestBackendAgreement:
@@ -289,12 +257,11 @@ class TestBackendPortfolioOracle:
     """Property-based equivalence oracle over the whole backend portfolio.
 
     Random standard forms with a *known* status class (feasible-bounded,
-    infeasible, unbounded) are solved by every registered backend — aliases,
-    the (possibly degraded) native backend, and a racing spec included — in
-    both dense and sparse representations.  All solves must agree on status,
-    and on the objective within tolerance when optimal.  This is the
-    contract solver racing leans on: any member's status answer can stand in
-    for any other's.
+    infeasible, unbounded) are solved by every registered backend — aliases
+    and the (possibly degraded) native backend included — in both dense and
+    sparse representations.  All solves must agree on status, and on the
+    objective within tolerance when optimal: any backend's answer can stand
+    in for any other's.
     """
 
     @staticmethod

@@ -116,9 +116,7 @@ class TestExtract:
         document = incremental_document(
             backends={
                 "scipy": backend_entry("scipy", 0.2),
-                "race:highs_native,scipy": backend_entry(
-                    "race_highs_native_scipy", 0.3, available=False
-                ),
+                "highs_native": backend_entry("highs_native", 0.3, available=False),
             }
         )
         series = sentinel.extract(document)
@@ -126,9 +124,9 @@ class TestExtract:
             "value": 0.2,
             "direction": "lower",
         }
-        # Degraded portfolio entries still grade — they measure the spec's
-        # real cost (racing overhead included) in this environment.
-        assert series["incremental_backend_race_highs_native_scipy_round_seconds"][
+        # Degraded portfolio entries still grade — they measure the
+        # backend's real cost in this environment.
+        assert series["incremental_backend_highs_native_round_seconds"][
             "value"
         ] == pytest.approx(0.3)
 
