@@ -72,12 +72,11 @@ def check_chunked_matches_dense(workload) -> None:
         num_classes=workload.num_classes,
         margin=CLASSIFICATION_MARGIN,
     )
-    dense = point_repair(workload.buggy, workload.classifier_layer, spec, sparse=True)
+    dense = point_repair(workload.buggy, workload.classifier_layer, spec)
     chunked = point_repair(
         workload.buggy,
         workload.classifier_layer,
         spec,
-        sparse=True,
         max_chunk_bytes=256 * 1024,
     )
     if dense.feasible != chunked.feasible:

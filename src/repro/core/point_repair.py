@@ -18,10 +18,15 @@ infeasibility) that no single-layer repair of layer ``i`` exists.
 Steps 2–3 compute all Jacobians in one vectorized multi-point pass
 (:meth:`~repro.core.ddnn.DecoupledNetwork.batch_parameter_jacobian`) and
 assemble the constraint rows of every point with grouped einsums into a
-single LP block, which downstream becomes a sparse CSR standard form.  With a
-byte budget the same rows arrive as bounded CSR chunks from a
+single LP block, which the LP layer assembles into a CSR standard form.  With
+a byte budget the same rows arrive as bounded CSR chunks from a
 :class:`~repro.core.jacobian.JacobianChunkStream` instead, assembling the
 same standard form byte for byte.
+
+Cold :func:`point_repair` and the round-by-round
+:class:`IncrementalPointRepairSession` build the same LP: the dimension check,
+the delta-variable and norm setup, and the result construction are shared
+helpers, so the two differ only in how rows reach the model.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from repro.core.jacobian import (
 from repro.core.result import RepairResult, RepairTiming
 from repro.core.specs import PointRepairSpec
 from repro.exceptions import SpecificationError
-from repro.lp.model import LPModel
+from repro.lp.model import LPModel, LPSolution
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
 from repro.nn.network import Network
@@ -53,7 +58,6 @@ def point_repair(
     backend: str | None = None,
     delta_bound: float | None = None,
     timing: RepairTiming | None = None,
-    sparse: bool | None = None,
     max_chunk_bytes: int | None = None,
     engine=None,
 ) -> RepairResult:
@@ -81,10 +85,6 @@ def point_repair(
         An existing :class:`RepairTiming` to accumulate into (used by the
         polytope repair algorithm, which has already spent time computing
         linear regions).
-    sparse:
-        Forwarded to :meth:`repro.lp.model.LPModel.solve`: ``True`` hands
-        the backend a CSR standard form, ``False`` its densified copy, ``None``
-        (default) lets the backend's ``supports_sparse`` flag decide.
     max_chunk_bytes:
         ``None`` (default) keeps the in-memory path: one dense
         ``(total_rows, params)`` block.  A byte budget switches to the
@@ -97,29 +97,12 @@ def point_repair(
         shard chunk encoding across workers (chunked path only; merged in
         input order, so results stay byte-identical to serial).
     """
-    if spec.input_dimension != _input_size(network):
-        raise SpecificationError(
-            f"specification points have dimension {spec.input_dimension}, "
-            f"network expects {_input_size(network)}"
-        )
+    _check_input_dimension(spec, network)
     watch = Stopwatch()
     timing = timing if timing is not None else RepairTiming()
-
-    if isinstance(network, DecoupledNetwork):
-        ddnn = network.copy()
-    else:
-        ddnn = DecoupledNetwork.from_network(network)
-    layer_index = ddnn._check_repairable(layer_index)
-    num_parameters = ddnn.value.layers[layer_index].num_parameters
-
-    model = LPModel()
-    bound = np.inf if delta_bound is None else float(delta_bound)
-    delta_indices = model.add_variables(num_parameters, "delta", lower=-bound, upper=bound)
-    # The norm rows go in *first* so constraint rows always occupy the tail
-    # of the inequality block: an IncrementalPointRepairSession that appends
-    # counterexample rows round after round then produces exactly this row
-    # order, which is what keeps incremental and cold solves byte-identical.
-    add_norm_objective(model, delta_indices, norm)
+    ddnn, layer_index, model, delta_indices = _repair_lp(
+        network, layer_index, norm, delta_bound
+    )
 
     with watch.phase("jacobian"):
         if max_chunk_bytes is None:
@@ -134,49 +117,103 @@ def point_repair(
             constraint_rows += int(rhs.size)
 
     with watch.phase("lp"):
-        solution = model.solve(backend, sparse=sparse)
+        solution = model.solve(backend)
 
     timing.jacobian_seconds += watch.total("jacobian")
     timing.lp_seconds += watch.total("lp")
     timing.other_seconds += watch.other()
-
-    if not solution.status.is_optimal:
-        feasible = False
-        status = solution.status
-        if status not in (LPStatus.INFEASIBLE, LPStatus.UNBOUNDED):
-            status = LPStatus.ERROR
-        return RepairResult(
-            feasible=feasible,
-            network=None,
-            delta=None,
-            layer_index=layer_index,
-            lp_status=status,
-            timing=timing,
-            num_key_points=spec.num_points,
-            num_constraint_rows=constraint_rows,
-            num_variables=model.num_variables,
-            norm=norm,
-        )
-
-    delta = solution.value_of(delta_indices)
-    ddnn.apply_parameter_delta(layer_index, delta)
-    return RepairResult(
-        feasible=True,
-        network=ddnn,
-        delta=delta,
-        layer_index=layer_index,
-        lp_status=solution.status,
+    return _repair_result(
+        solution,
+        ddnn,
+        layer_index,
+        delta_indices,
         timing=timing,
         num_key_points=spec.num_points,
         num_constraint_rows=constraint_rows,
         num_variables=model.num_variables,
-        objective_value=solution.objective,
         norm=norm,
     )
 
 
-def _input_size(network: Network | DecoupledNetwork) -> int:
-    return network.input_size
+def _check_input_dimension(
+    spec: PointRepairSpec, network: Network | DecoupledNetwork
+) -> None:
+    if spec.input_dimension != network.input_size:
+        raise SpecificationError(
+            f"specification points have dimension {spec.input_dimension}, "
+            f"network expects {network.input_size}"
+        )
+
+
+def _repair_lp(
+    network: Network | DecoupledNetwork,
+    layer_index: int,
+    norm: str,
+    delta_bound: float | None,
+) -> tuple[DecoupledNetwork, int, LPModel, np.ndarray]:
+    """A private DDNN copy and its repair LP before any constraint row.
+
+    Returns ``(ddnn, layer_index, model, delta_indices)``: the model holds
+    one delta variable per parameter of value layer ``layer_index`` (boxed
+    by ``delta_bound`` when given) and the norm objective.  The norm rows go
+    in *first* so constraint rows always occupy the tail of the inequality
+    block: an incremental session that appends counterexample rows round
+    after round then produces exactly the row order of a cold repair of the
+    whole pool, which is what keeps the two byte-identical.
+    """
+    if isinstance(network, DecoupledNetwork):
+        ddnn = network.copy()
+    else:
+        ddnn = DecoupledNetwork.from_network(network)
+    layer_index = ddnn._check_repairable(layer_index)
+    model = LPModel()
+    bound = np.inf if delta_bound is None else float(delta_bound)
+    delta_indices = model.add_variables(
+        ddnn.value.layers[layer_index].num_parameters, "delta", lower=-bound, upper=bound
+    )
+    add_norm_objective(model, delta_indices, norm)
+    return ddnn, layer_index, model, delta_indices
+
+
+def _repair_result(
+    solution: LPSolution,
+    ddnn: DecoupledNetwork,
+    layer_index: int,
+    delta_indices: np.ndarray,
+    **fields,
+) -> RepairResult:
+    """The :class:`RepairResult` of one solved repair LP.
+
+    A feasible result carries a fresh copy of ``ddnn`` with the optimal
+    delta applied (``ddnn`` itself is never mutated); an infeasible one
+    reports the LP status, with every status other than ``INFEASIBLE`` and
+    ``UNBOUNDED`` collapsed to ``ERROR``.  ``fields`` are the remaining
+    :class:`RepairResult` fields (timing and size counts).
+    """
+    if not solution.status.is_optimal:
+        status = solution.status
+        if status not in (LPStatus.INFEASIBLE, LPStatus.UNBOUNDED):
+            status = LPStatus.ERROR
+        return RepairResult(
+            feasible=False,
+            network=None,
+            delta=None,
+            layer_index=layer_index,
+            lp_status=status,
+            **fields,
+        )
+    delta = solution.value_of(delta_indices)
+    repaired = ddnn.copy()
+    repaired.apply_parameter_delta(layer_index, delta)
+    return RepairResult(
+        feasible=True,
+        network=repaired,
+        delta=delta,
+        layer_index=layer_index,
+        lp_status=solution.status,
+        objective_value=solution.objective,
+        **fields,
+    )
 
 
 class IncrementalPointRepairSession:
@@ -192,11 +229,11 @@ class IncrementalPointRepairSession:
     :class:`~repro.lp.model.LPSession` that threads each round's
     :class:`~repro.lp.model.WarmStart` handle into the next solve.
 
-    Because :func:`point_repair` emits the norm rows first, the session's
-    standard form is row-for-row identical to what a cold ``point_repair``
-    of the whole accumulated spec would build — so for a backend whose warm
-    start is exact (``warm_start_is_exact``), incremental solves return
-    byte-identical deltas to cold ones.
+    The session builds its LP with the same helper as :func:`point_repair`
+    (norm rows first), so its standard form is row-for-row identical to
+    what a cold ``point_repair`` of the whole accumulated spec would build —
+    for a backend whose warm start is exact (``warm_start_is_exact``),
+    incremental solves return byte-identical deltas to cold ones.
 
     The session encodes against a private copy of the base network and never
     mutates it; each feasible :meth:`solve` returns a *fresh* repaired copy.
@@ -210,31 +247,20 @@ class IncrementalPointRepairSession:
         norm: str = "linf",
         backend: str | None = None,
         delta_bound: float | None = None,
-        sparse: bool | None = None,
         warm_start: bool = True,
         max_chunk_bytes: int | None = None,
         engine=None,
     ) -> None:
-        if isinstance(network, DecoupledNetwork):
-            self.ddnn = network.copy()
-        else:
-            self.ddnn = DecoupledNetwork.from_network(network)
-        self.layer_index = self.ddnn._check_repairable(layer_index)
+        self.ddnn, self.layer_index, self.model, self.delta_indices = _repair_lp(
+            network, layer_index, norm, delta_bound
+        )
         self.norm = norm
         self.warm_start = bool(warm_start)
         self.max_chunk_bytes = max_chunk_bytes
         self.engine = engine
-        num_parameters = self.ddnn.value.layers[self.layer_index].num_parameters
-        self.model = LPModel()
-        bound = np.inf if delta_bound is None else float(delta_bound)
-        self.delta_indices = self.model.add_variables(
-            num_parameters, "delta", lower=-bound, upper=bound
-        )
-        add_norm_objective(self.model, self.delta_indices, norm)
-        self.session = self.model.incremental_session(sparse=sparse, backend=backend)
+        self.session = self.model.incremental_session(backend=backend)
         self.num_points = 0
         self.constraint_rows = 0
-        self.rows_appended_last = 0
         self.last_solution = None
         self._handle = None
         self._pending_timing = RepairTiming()
@@ -246,11 +272,7 @@ class IncrementalPointRepairSession:
         points *not* previously appended — the caller (the driver) slices
         its pool.
         """
-        if spec.input_dimension != self.ddnn.input_size:
-            raise SpecificationError(
-                f"specification points have dimension {spec.input_dimension}, "
-                f"network expects {self.ddnn.input_size}"
-            )
+        _check_input_dimension(spec, self.ddnn)
         watch = Stopwatch()
         with watch.phase("jacobian"):
             if self.max_chunk_bytes is None:
@@ -277,7 +299,6 @@ class IncrementalPointRepairSession:
             )
         self.num_points += spec.num_points
         self.constraint_rows += rows
-        self.rows_appended_last = rows
         self._pending_timing.jacobian_seconds += watch.total("jacobian")
         self._pending_timing.other_seconds += watch.other()
         return rows
@@ -294,37 +315,16 @@ class IncrementalPointRepairSession:
         timing.lp_seconds += watch.total("lp")
         timing.other_seconds += watch.other()
         self._pending_timing = RepairTiming()
-
-        if not solution.status.is_optimal:
-            status = solution.status
-            if status not in (LPStatus.INFEASIBLE, LPStatus.UNBOUNDED):
-                status = LPStatus.ERROR
-            return RepairResult(
-                feasible=False,
-                network=None,
-                delta=None,
-                layer_index=self.layer_index,
-                lp_status=status,
-                timing=timing,
-                num_key_points=self.num_points,
-                num_constraint_rows=self.constraint_rows,
-                num_variables=self.model.num_variables,
-                norm=self.norm,
-            )
-        self._handle = solution.warm_start
-        delta = solution.value_of(self.delta_indices)
-        repaired = self.ddnn.copy()
-        repaired.apply_parameter_delta(self.layer_index, delta)
-        return RepairResult(
-            feasible=True,
-            network=repaired,
-            delta=delta,
-            layer_index=self.layer_index,
-            lp_status=solution.status,
+        if solution.status.is_optimal:
+            self._handle = solution.warm_start
+        return _repair_result(
+            solution,
+            self.ddnn,
+            self.layer_index,
+            self.delta_indices,
             timing=timing,
             num_key_points=self.num_points,
             num_constraint_rows=self.constraint_rows,
             num_variables=self.model.num_variables,
-            objective_value=solution.objective,
             norm=self.norm,
         )

@@ -41,7 +41,6 @@ def polytope_repair(
     norm: str = "linf",
     backend: str | None = None,
     delta_bound: float | None = None,
-    sparse: bool | None = None,
 ) -> RepairResult:
     """Repair one layer so the network satisfies the polytope specification.
 
@@ -49,10 +48,8 @@ def polytope_repair(
     repair of ``layer_index`` satisfies the specification.  Raises
     :class:`NotPiecewiseLinearError` if the network uses activation functions
     that are not piecewise linear (the paper's assumption for Algorithm 2).
-
-    ``sparse`` is forwarded to :func:`point_repair`, which encodes the key
-    points generated from the linear regions in one vectorized multi-point
-    Jacobian pass.
+    :func:`point_repair` encodes the key points generated from the linear
+    regions in one vectorized multi-point Jacobian pass.
     """
     if spec.num_polytopes == 0:
         raise SpecificationError("the polytope specification has no polytopes")
@@ -85,7 +82,6 @@ def polytope_repair(
         backend=backend,
         delta_bound=delta_bound,
         timing=timing,
-        sparse=sparse,
     )
 
 

@@ -2,7 +2,7 @@
 
 :class:`DriverConfig` captures every *algorithm* knob of
 :class:`~repro.driver.driver.RepairDriver` — mode, layer schedule, margins,
-budgets, the incremental/warm-start/sparse switches, the LP backend
+budgets, the incremental/warm-start switches, the LP backend
 — as one frozen dataclass that round-trips through JSON.  Runtime resources
 (the network, the spec, the verifier, an engine, a pool, a checkpoint path,
 a holdout set) deliberately stay out: a config describes *how* to run a
@@ -12,13 +12,15 @@ from a client, through the job daemon's JSON API, into an in-process driver
 
 The dataclass validates on construction (the same checks the driver's old
 keyword sprawl applied), so a malformed job fails at decode time with a
-:class:`~repro.exceptions.RepairError` rather than rounds later.
+:class:`~repro.exceptions.RepairError` rather than rounds later — a value of
+the wrong type included, never a silent coercion.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from repro.exceptions import RepairError
@@ -29,6 +31,28 @@ from repro.lp.norms import SUPPORTED_NORMS
 DEFAULT_REPAIR_MARGIN = 1e-6
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(name: str, value) -> int:
+    """An integral number as ``int``; integral floats (JSON's ``3.0``) pass."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if _is_number(value) and math.isfinite(value) and value == int(value):
+        return int(value)
+    raise RepairError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    try:
+        if _is_number(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise RepairError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DriverConfig:
     """Every algorithm knob of a CEGIS driver run, JSON-serializable.
@@ -37,6 +61,10 @@ class DriverConfig:
     docstring for semantics).  ``layer_schedule`` is stored as a tuple (the
     dataclass is frozen and hashable); ``None`` means "derive the §7.1
     default from the network" at driver-construction time.
+
+    ``sparse`` has no effect: the LP layer hands every backend the CSR
+    standard form.  It is still accepted (``None`` or a boolean) so existing
+    configs and job records keep decoding.
     """
 
     mode: str = "point"
@@ -57,25 +85,30 @@ class DriverConfig:
         # Normalize before validating so a config built from JSON (lists,
         # ints-as-floats) is indistinguishable from one built in-process.
         if self.layer_schedule is not None:
+            try:
+                entries = tuple(self.layer_schedule)
+            except TypeError as error:
+                raise RepairError(
+                    f"layer_schedule must be a list of layer indices, got "
+                    f"{self.layer_schedule!r}"
+                ) from error
             object.__setattr__(
-                self, "layer_schedule", tuple(int(index) for index in self.layer_schedule)
+                self,
+                "layer_schedule",
+                tuple(_integer("layer_schedule entry", index) for index in entries),
             )
-        object.__setattr__(self, "repair_margin", float(self.repair_margin))
-        object.__setattr__(self, "max_rounds", int(self.max_rounds))
-        if self.budget_seconds is not None:
-            object.__setattr__(self, "budget_seconds", float(self.budget_seconds))
-        if self.delta_bound is not None:
-            object.__setattr__(self, "delta_bound", float(self.delta_bound))
-        if self.max_new_counterexamples is not None:
-            object.__setattr__(
-                self, "max_new_counterexamples", int(self.max_new_counterexamples)
-            )
-        object.__setattr__(self, "incremental", bool(self.incremental))
-        object.__setattr__(self, "warm_start", bool(self.warm_start))
-        if self.sparse is not None:
-            object.__setattr__(self, "sparse", bool(self.sparse))
-        if self.memory_budget is not None:
-            object.__setattr__(self, "memory_budget", int(self.memory_budget))
+        object.__setattr__(self, "repair_margin", _real("repair_margin", self.repair_margin))
+        object.__setattr__(self, "max_rounds", _integer("max_rounds", self.max_rounds))
+        for name in ("budget_seconds", "delta_bound"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
+        for name in ("max_new_counterexamples", "memory_budget"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("incremental", "warm_start", "sparse"):
+            value = getattr(self, name)
+            if not isinstance(value, bool) and not (name == "sparse" and value is None):
+                raise RepairError(f"{name} must be a boolean, got {value!r}")
 
         if self.mode not in ("point", "polytope"):
             raise RepairError(f'mode must be "point" or "polytope", got {self.mode!r}')
@@ -104,6 +137,8 @@ class DriverConfig:
         if self.memory_budget is not None and self.memory_budget < 1:
             raise RepairError("memory_budget must be positive bytes (or None)")
         if self.backend is not None:
+            if not isinstance(self.backend, str):
+                raise RepairError(f"backend must be a string, got {self.backend!r}")
             self._validate_backend(self.backend)
 
     @staticmethod
@@ -142,6 +177,8 @@ class DriverConfig:
         ``backend``, but never
         alongside it.
         """
+        if not isinstance(payload, dict):
+            raise RepairError(f"a driver config must be a JSON object, got {payload!r}")
         if "lp_backend" in payload:
             if "backend" in payload:
                 raise RepairError(

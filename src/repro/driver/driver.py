@@ -331,7 +331,7 @@ class RepairDriver:
         way incremental CEGIS implementations often do, trading more rounds
         for smaller per-round LPs (and giving benchmarks a deterministic
         way to scale round counts).
-    norm, backend, delta_bound, sparse:
+    norm, backend, delta_bound:
         Forwarded to :func:`repro.core.point_repair.point_repair`.
     memory_budget:
         Soft cap, in bytes, on the repair data path's resident footprint —
@@ -420,7 +420,6 @@ class RepairDriver:
         self.norm = config.norm
         self.backend = config.backend
         self.delta_bound = config.delta_bound
-        self.sparse = config.sparse
         self._session: IncrementalPointRepairSession | None = None
         # Pool *entries* already encoded into the standing session: in
         # polytope mode one entry expands to several LP points, so the
@@ -548,7 +547,6 @@ class RepairDriver:
                             norm=self.norm,
                             backend=self.backend,
                             delta_bound=self.delta_bound,
-                            sparse=self.sparse,
                             max_chunk_bytes=self.max_chunk_bytes,
                             engine=self.engine,
                         )
@@ -682,7 +680,6 @@ class RepairDriver:
                 norm=self.norm,
                 backend=self.backend,
                 delta_bound=self.delta_bound,
-                sparse=self.sparse,
                 warm_start=self.warm_start,
                 max_chunk_bytes=self.max_chunk_bytes,
                 engine=self.engine,

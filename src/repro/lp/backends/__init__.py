@@ -1,6 +1,7 @@
 """LP solver backends.
 
-Three backends are provided:
+Three backends are provided.  Each receives the standard form with CSR
+constraint matrices; the simplex densifies them on entry.
 
 ``"scipy"``
     scipy's HiGHS solver (dual simplex / interior point).  This is the
@@ -64,7 +65,7 @@ def get_backend(name: str | None = None) -> LPBackend:
 def backend_capabilities(name: str | None = None) -> dict[str, object]:
     """Capability probe for one backend name, without running a solve.
 
-    Returns ``{"name", "available", "supports_sparse", "warm_start_is_exact"}``
+    Returns ``{"name", "available", "warm_start_is_exact"}``
     — ``available`` is ``False`` when the backend is degraded because its
     native solver is missing.  The ``requires_highspy`` test marker and the
     CI matrix leg consult this instead of importing ``highspy`` themselves.
@@ -73,7 +74,6 @@ def backend_capabilities(name: str | None = None) -> dict[str, object]:
     return {
         "name": backend.name,
         "available": bool(getattr(backend, "available", True)),
-        "supports_sparse": backend.supports_sparse,
         "warm_start_is_exact": backend.warm_start_is_exact,
     }
 

@@ -1,4 +1,9 @@
-"""Abstract interface implemented by every LP backend."""
+"""Abstract interface implemented by every LP backend.
+
+Every backend receives the standard form as ``scipy.sparse`` CSR constraint
+matrices (see :meth:`repro.lp.model.LPModel.standard_form`); a backend whose
+solver needs dense arrays densifies them on entry with :meth:`LPBackend.as_dense`.
+"""
 
 from __future__ import annotations
 
@@ -15,12 +20,6 @@ class LPBackend(abc.ABC):
 
     #: Human-readable backend name.
     name: str = "abstract"
-
-    #: Whether :meth:`solve` consumes ``scipy.sparse`` constraint matrices
-    #: natively.  ``LPModel.solve`` consults this flag to pick the
-    #: standard-form representation; backends that leave it ``False`` must
-    #: still accept sparse inputs by densifying them (see :meth:`as_dense`).
-    supports_sparse: bool = False
 
     #: Whether this backend's solver is actually present in the process.
     #: Backends wrapping an optional native dependency (``highs_native``)
@@ -57,8 +56,9 @@ class LPBackend(abc.ABC):
     ) -> LPSolution:
         """Solve ``min c@x  s.t.  a_ub@x<=b_ub, a_eq@x==b_eq, bounds``.
 
-        ``a_ub`` and ``a_eq`` may be dense arrays or ``scipy.sparse``
-        matrices (see ``LPModel.standard_form``); ``bounds`` is an ``(n, 2)``
+        ``a_ub`` and ``a_eq`` are ``scipy.sparse`` CSR matrices from
+        ``LPModel.standard_form`` (dense arrays are accepted too, which is
+        how tests hand-build problems); ``bounds`` is an ``(n, 2)``
         array of per-variable ``(lower, upper)`` pairs; entries may be
         ``±inf``.
 
@@ -86,7 +86,7 @@ class LPBackend(abc.ABC):
 
     @staticmethod
     def as_dense(matrix) -> np.ndarray:
-        """Lazily densify a possibly-sparse constraint matrix."""
+        """Densify a constraint matrix for a solver that needs dense arrays."""
         if sp.issparse(matrix):
             return matrix.toarray()
         return np.asarray(matrix, dtype=float)

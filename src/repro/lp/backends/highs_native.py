@@ -164,7 +164,6 @@ class HighsNativeBackend(LPBackend):
     """
 
     name = "highs_native"
-    supports_sparse = True
     available = HIGHSPY_AVAILABLE
 
     def __init__(self) -> None:

@@ -1,4 +1,9 @@
-"""LP backend delegating to scipy's HiGHS solver."""
+"""LP backend delegating to scipy's HiGHS solver.
+
+HiGHS consumes the CSR standard form as-is; the legacy ``linprog`` methods
+(e.g. ``"revised simplex"``) reject sparse input, so for them the backend
+densifies the constraint matrices on entry.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +28,9 @@ _STATUS_MAP = {
 #: default) does not — passing ``x0`` there only raises an OptimizeWarning —
 #: so warm starts silently fall back to cold solves for every other method.
 _X0_METHODS = frozenset({"revised simplex"})
+
+#: ``linprog`` methods that accept ``scipy.sparse`` constraint matrices.
+_SPARSE_METHODS = frozenset({"highs", "highs-ds", "highs-ipm"})
 
 
 def _count_warmstart_fallback(backend: str, reason: str) -> None:
@@ -57,13 +65,12 @@ def _num_entries(matrix) -> int:
 class ScipyBackend(LPBackend):
     """Solve LPs with ``scipy.optimize.linprog(method="highs")``.
 
-    HiGHS is a sparsity-exploiting solver, so sparse constraint matrices
-    from ``LPModel.standard_form(sparse=True)`` are forwarded as-is — no
-    densification happens on this path.
+    HiGHS is a sparsity-exploiting solver, so the CSR constraint matrices
+    from ``LPModel.standard_form`` are forwarded as-is — no densification
+    happens on this path.
     """
 
     name = "scipy"
-    supports_sparse = True
 
     def __init__(self, method: str = "highs") -> None:
         self.method = method
@@ -75,6 +82,8 @@ class ScipyBackend(LPBackend):
 
     def solve(self, c, a_ub, b_ub, a_eq, b_eq, bounds, warm_start=None) -> LPSolution:
         bounds_list = [(row[0], row[1]) for row in np.asarray(bounds, dtype=float)]
+        if self.method not in _SPARSE_METHODS:
+            a_ub, a_eq = self.as_dense(a_ub), self.as_dense(a_eq)
         x0 = None
         if warm_start is not None:
             if self.method not in _X0_METHODS:

@@ -286,8 +286,8 @@ class SimplexBackend(LPBackend):
         return False
 
     def solve(self, c, a_ub, b_ub, a_eq, b_eq, bounds, warm_start=None) -> LPSolution:
-        # The tableau works on dense arrays; sparse inputs from the batched
-        # repair engine are densified lazily here, at the last moment.
+        # The tableau works on dense arrays: the CSR standard form is
+        # densified here, on entry.
         problem = _to_equational(
             np.asarray(c, dtype=float),
             self.as_dense(a_ub),

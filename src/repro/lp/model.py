@@ -19,9 +19,9 @@ full-width ``scipy.sparse`` CSR matrix (:func:`_widen_block`) and the blocks
 of each sense are stacked in insertion order (:func:`_stack_blocks`).  Both
 :meth:`LPModel.standard_form` and the incremental :class:`LPSession` build
 through that pair, so a cold and an incremental assembly of the same model
-are the same arrays.  ``sparse=False`` hands the backend dense arrays — one
-densify of the assembled CSR form; :meth:`LPModel.solve` picks the
-representation from the backend's ``supports_sparse`` flag.
+are the same arrays.  The CSR form is the only representation handed to a
+backend; a backend that needs dense arrays densifies on entry
+(:meth:`~repro.lp.backends.base.LPBackend.as_dense`).
 """
 
 from __future__ import annotations
@@ -38,19 +38,29 @@ from repro.lp.status import LPStatus
 from repro.utils.timing import wall_cpu_now
 
 
-def _observed_solve(solver, solve_callable):
-    """Run one backend solve, mirroring it into the telemetry layer.
+def _solve_form(solver, form, warm_start: WarmStart | None = None) -> LPSolution:
+    """Solve one assembled standard form, mirroring it into the telemetry layer.
 
-    The shared wrapper for :meth:`LPModel.solve` and :meth:`LPSession.solve`:
-    an ``lp.solve`` span plus per-backend solve-time histogram and
-    solve/iteration counters.  Telemetry reads the finished solution only —
-    it never influences which backend runs or what it returns.
+    The shared solve of :meth:`LPModel.solve` and :meth:`LPSession.solve`.
+    A model without variables never reaches the backend: each of its rows
+    reads ``0 <= b_ub`` or ``0 == b_eq``, so it is ``INFEASIBLE`` exactly
+    when one of those constant rows is violated, and ``OPTIMAL`` otherwise.
+
+    A real solve runs inside an ``lp.solve`` span plus per-backend
+    solve-time histogram and solve/iteration counters.  Telemetry reads the
+    finished solution only — it never influences which backend runs or
+    what it returns.
     """
+    c, _, b_ub, _, b_eq, _ = form
+    if c.size == 0:
+        if np.any(b_ub < 0.0) or np.any(b_eq != 0.0):
+            return LPSolution(LPStatus.INFEASIBLE, message="empty model with a violated row")
+        return LPSolution(LPStatus.OPTIMAL, np.zeros(0), 0.0, "empty model")
     if not obs.enabled():
-        return solve_callable()
+        return solver.solve(*form, warm_start=warm_start)
     start_wall, _ = wall_cpu_now()
     with obs.span("lp.solve", backend=solver.name):
-        solution = solve_callable()
+        solution = solver.solve(*form, warm_start=warm_start)
     elapsed = wall_cpu_now()[0] - start_wall
     obs.histogram(
         "repro_lp_solve_seconds",
@@ -334,14 +344,12 @@ class LPModel:
     # ------------------------------------------------------------------
     # Standard form assembly & solving
     # ------------------------------------------------------------------
-    def standard_form(self, sparse: bool = False):
+    def standard_form(self):
         """Assemble ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``.
 
         The constraint matrices are ``scipy.sparse`` CSR matrices built from
         the narrow constraint blocks without materializing full-width rows;
-        with ``sparse=False`` (the default) that same form is densified into
-        ``(rows, num_variables)`` arrays.  ``c``, the right-hand sides, and
-        ``bounds`` are dense in both modes.
+        ``c``, the right-hand sides, and ``bounds`` are dense.
         """
         n = self._num_variables
         a_ub, b_ub = _stack_blocks(
@@ -350,8 +358,6 @@ class LPModel:
         a_eq, b_eq = _stack_blocks(
             [(_widen_block(block, n), block.rhs) for block in self._blocks if block.equality], n
         )
-        if not sparse:
-            a_ub, a_eq = a_ub.toarray(), a_eq.toarray()
         c, bounds = self._objective_and_bounds()
         return c, a_ub, b_ub, a_eq, b_eq, bounds
 
@@ -369,39 +375,18 @@ class LPModel:
         """Total number of constraint rows added so far."""
         return sum(block.matrix.shape[0] for block in self._blocks)
 
-    def solve(self, backend: str | None = None, sparse: bool | None = None) -> LPSolution:
-        """Solve the model with the named backend (default: ``"scipy"``).
-
-        ``sparse`` selects the standard-form representation handed to the
-        backend: ``True`` hands it the CSR form, ``False`` the densified
-        form, and ``None`` (the default) uses CSR exactly when the backend
-        advertises ``supports_sparse`` — backends without sparse support
-        (e.g. the educational simplex) densify lazily on entry either way.
-        """
+    def solve(self, backend: str | None = None) -> LPSolution:
+        """Solve the model with the named backend (default: ``"scipy"``)."""
         from repro.lp.backends import get_backend
 
-        solver = get_backend(backend)
-        if sparse is None:
-            sparse = solver.supports_sparse
-        if self._num_variables == 0:
-            return LPSolution(LPStatus.OPTIMAL, np.zeros(0), 0.0, "empty model")
-        form = self.standard_form(sparse=sparse)
-        return _observed_solve(solver, lambda: solver.solve(*form))
+        return _solve_form(get_backend(backend), self.standard_form())
 
-    def incremental_session(
-        self,
-        *,
-        sparse: bool | None = None,
-        tail_blocks: int = 0,
-        backend: str | None = None,
-    ) -> "LPSession":
+    def incremental_session(self, *, backend: str | None = None) -> "LPSession":
         """Open an :class:`LPSession` over this model's current blocks.
 
-        See :class:`LPSession` for the incremental-assembly contract;
-        ``sparse=None`` resolves against the backend's ``supports_sparse``
-        flag exactly like :meth:`solve`.
+        See :class:`LPSession` for the incremental-assembly contract.
         """
-        return LPSession(self, sparse=sparse, tail_blocks=tail_blocks, backend=backend)
+        return LPSession(self, backend=backend)
 
 
 def _widen_block(block: _ConstraintBlock, num_variables: int) -> sp.csr_matrix:
@@ -455,59 +440,40 @@ class LPSession:
     the blocks added to the model since the previous call — so per-round
     assembly cost scales with the *new* rows, not the whole model.
 
-    ``tail_blocks`` pins the last ``tail_blocks`` blocks present at session
-    creation to the bottom of the inequality/equality matrices forever:
-    rows appended later are inserted *above* them.  This exists for the
-    repair LPs, whose norm-objective rows (``-t ≤ Δ_i ≤ t``) are added once
-    after the initial constraint rows; pinning them last makes the session's
-    standard form row-for-row identical to what a cold
-    :meth:`LPModel.standard_form` over the same model would produce — which
-    is what keeps incremental and cold solves byte-identical for a
-    deterministic backend.
+    Appended rows go below every earlier row of their sense, exactly where
+    a cold :meth:`LPModel.standard_form` over the same model puts them, so
+    the session's standard form is row-for-row the cold one — which is what
+    keeps incremental and cold solves byte-identical for a deterministic
+    backend.  (The repair LPs add their norm-objective rows first for this
+    reason; see :mod:`repro.core.point_repair`.)
 
     Sessions do not support adding variables after creation
     (:meth:`append_rows` raises); the repair LPs fix their delta and
     auxiliary variables up front.
     """
 
-    def __init__(
-        self,
-        model: LPModel,
-        *,
-        sparse: bool | None = None,
-        tail_blocks: int = 0,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, model: LPModel, *, backend: str | None = None) -> None:
         from repro.lp.backends import get_backend
 
         self.model = model
-        self.backend_name = backend
         self._solver = get_backend(backend)
-        self.sparse = self._solver.supports_sparse if sparse is None else bool(sparse)
-        if not 0 <= tail_blocks <= len(model._blocks):
-            raise LPError(
-                f"tail_blocks is {tail_blocks}, model has {len(model._blocks)} blocks"
-            )
         self._num_variables = model.num_variables
         # Widened (matrix, rhs) blocks per sense (keyed by ``equality``), in
-        # row order: head blocks grow via append_rows, tail blocks are
-        # pinned to the bottom.
-        self._head: dict[bool, list] = {False: [], True: []}
-        self._tail: dict[bool, list] = {False: [], True: []}
+        # row order.
+        self._parts: dict[bool, list] = {False: [], True: []}
         self._consumed = 0
-        self.rows_appended = 0
         self._cached_matrices: tuple | None = None
-        head_count = len(model._blocks) - tail_blocks
-        self._consume(model._blocks[:head_count], tail=False)
-        self._consume(model._blocks[head_count:], tail=True)
-        self._consumed = len(model._blocks)
+        self._consume()
 
-    def _consume(self, blocks: list[_ConstraintBlock], tail: bool) -> int:
+    def _consume(self) -> int:
+        """Widen the model's blocks not yet in the session; returns their rows."""
         rows = 0
-        parts = self._tail if tail else self._head
-        for block in blocks:
-            parts[block.equality].append((_widen_block(block, self._num_variables), block.rhs))
+        for block in self.model._blocks[self._consumed :]:
+            self._parts[block.equality].append(
+                (_widen_block(block, self._num_variables), block.rhs)
+            )
             rows += block.matrix.shape[0]
+        self._consumed = len(self.model._blocks)
         return rows
 
     def append_rows(self, stream=None) -> int:
@@ -532,8 +498,7 @@ class LPSession:
                 f"{self._num_variables} to {self.model.num_variables} variables; "
                 "incremental sessions only support appending constraint rows"
             )
-        rows = self._consume(self.model._blocks[self._consumed :], tail=False)
-        self._consumed = len(self.model._blocks)
+        rows = self._consume()
         if stream is not None:
             for matrix, rhs, columns in stream:
                 self.model.add_leq_block(matrix, rhs, columns)
@@ -543,22 +508,15 @@ class LPSession:
                         "being consumed; incremental sessions only support "
                         "appending constraint rows"
                     )
-                rows += self._consume(self.model._blocks[self._consumed :], tail=False)
-                self._consumed = len(self.model._blocks)
+                rows += self._consume()
         if rows:
-            self.rows_appended += rows
             self._cached_matrices = None
         return rows
 
     @property
     def num_rows(self) -> int:
-        """Constraint rows currently assembled (head plus pinned tail)."""
-        return sum(
-            int(rhs.shape[0])
-            for parts in (self._head, self._tail)
-            for blocks in parts.values()
-            for _, rhs in blocks
-        )
+        """Constraint rows currently assembled."""
+        return sum(int(rhs.shape[0]) for blocks in self._parts.values() for _, rhs in blocks)
 
     def standard_form(self):
         """The assembled ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``.
@@ -575,11 +533,10 @@ class LPSession:
             )
         if self._cached_matrices is None:
             n = self._num_variables
-            a_ub, b_ub = _stack_blocks(self._head[False] + self._tail[False], n)
-            a_eq, b_eq = _stack_blocks(self._head[True] + self._tail[True], n)
-            if not self.sparse:
-                a_ub, a_eq = a_ub.toarray(), a_eq.toarray()
-            self._cached_matrices = (a_ub, b_ub, a_eq, b_eq)
+            self._cached_matrices = (
+                *_stack_blocks(self._parts[False], n),
+                *_stack_blocks(self._parts[True], n),
+            )
         c, bounds = self.model._objective_and_bounds()
         return c, *self._cached_matrices, bounds
 
@@ -591,12 +548,6 @@ class LPSession:
         handles from a different backend are dropped here rather than handed
         to a solver that cannot interpret them.
         """
-        if self._num_variables == 0:
-            return LPSolution(LPStatus.OPTIMAL, np.zeros(0), 0.0, "empty model")
         if warm_start is not None and not self._solver.accepts_handle(warm_start):
             warm_start = None
-        form = self.standard_form()
-        handle = warm_start
-        return _observed_solve(
-            self._solver, lambda: self._solver.solve(*form, warm_start=handle)
-        )
+        return _solve_form(self._solver, self.standard_form(), warm_start)

@@ -56,15 +56,18 @@ def make_verifier(
     ``engine`` is threaded into the constructor separately because it is a
     runtime resource, not configuration: the daemon passes its shared warm
     engine here while the job's verifier dictionary stays serializable.
+    Parameters the constructor rejects — unknown names (``TypeError``) or
+    out-of-range values (``ValueError``) — raise
+    :class:`~repro.exceptions.SpecificationError`.
     """
-    cls = _REGISTRY.get(kind)
+    cls = _REGISTRY.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise SpecificationError(
             f"unknown verifier kind {kind!r}; registered kinds: {verifier_kinds()}"
         )
     try:
         return cls(engine=engine, **params)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise SpecificationError(
             f"bad parameters for verifier kind {kind!r}: {error}"
         ) from error

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.specs import PointRepairSpec
+from repro.lp.backends import get_backend
 from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
@@ -66,7 +67,10 @@ def reference_point_repair(
     add_norm_objective(model, delta, norm)
     lhs, rhs = reference_encode(ddnn, layer_index, spec)
     model.add_leq_block(lhs, rhs, delta)
-    solution = model.solve(backend, sparse=False)
+    # Densified here, in test code, so the oracle never hands a backend the
+    # CSR form the production path uses.
+    c, a_ub, b_ub, a_eq, b_eq, bounds = model.standard_form()
+    solution = get_backend(backend).solve(c, a_ub.toarray(), b_ub, a_eq.toarray(), b_eq, bounds)
     optimal = solution.status.is_optimal
     return ReferenceRepair(
         lp_status=solution.status,

@@ -20,6 +20,7 @@ from repro.core.jacobian import JacobianChunkStream, encode_constraints_batched
 from repro.core.point_repair import point_repair
 from repro.core.polytope_repair import polytope_repair, reduce_to_key_points
 from repro.core.specs import PointRepairSpec, PolytopeRepairSpec
+from repro.lp.backends import get_backend
 from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
@@ -321,25 +322,19 @@ class TestSparseStandardForm:
     def test_random_models_agree(self, rng):
         for _ in range(25):
             model = random_lp_model(rng)
-            c, a_ub, b_ub, a_eq, b_eq, bounds = model.standard_form(sparse=False)
-            c_s, a_ub_s, b_ub_s, a_eq_s, b_eq_s, bounds_s = model.standard_form(sparse=True)
-            assert sp.issparse(a_ub_s) and sp.issparse(a_eq_s)
-            assert not sp.issparse(a_ub) and not sp.issparse(a_eq)
-            np.testing.assert_array_equal(c, c_s)
-            np.testing.assert_array_equal(b_ub, b_ub_s)
-            np.testing.assert_array_equal(b_eq, b_eq_s)
-            np.testing.assert_array_equal(bounds, bounds_s)
-            np.testing.assert_array_equal(a_ub, a_ub_s.toarray())
-            np.testing.assert_array_equal(a_eq, a_eq_s.toarray())
+            c, a_ub, b_ub, a_eq, b_eq, bounds = model.standard_form()
+            assert a_ub.format == "csr" and a_eq.format == "csr"
+            assert c.shape == (model.num_variables,)
+            assert bounds.shape == (model.num_variables, 2)
             for equality, matrix, rhs in ((False, a_ub, b_ub), (True, a_eq, b_eq)):
                 ref_matrix, ref_rhs = reference_dense_form(model, equality)
-                np.testing.assert_array_equal(matrix, ref_matrix)
+                np.testing.assert_array_equal(matrix.toarray(), ref_matrix)
                 np.testing.assert_array_equal(rhs, ref_rhs)
 
     def test_empty_model_sparse(self):
         model = LPModel()
         model.add_variables(3)
-        _, a_ub, b_ub, a_eq, b_eq, _ = model.standard_form(sparse=True)
+        _, a_ub, b_ub, a_eq, b_eq, _ = model.standard_form()
         assert a_ub.shape == (0, 3) and a_eq.shape == (0, 3)
         assert b_ub.size == 0 and b_eq.size == 0
 
@@ -349,18 +344,21 @@ class TestSparseStandardForm:
         model = LPModel()
         indices = model.add_variables(2)
         model.add_eq_block(np.zeros((1, 2)), [1.0], indices)
-        _, _, _, a_eq, b_eq, _ = model.standard_form(sparse=True)
+        _, _, _, a_eq, b_eq, _ = model.standard_form()
         assert a_eq.shape == (1, 2)
         np.testing.assert_array_equal(b_eq, [1.0])
-        solution = model.solve("scipy", sparse=True)
+        solution = model.solve("scipy")
         assert solution.status is LPStatus.INFEASIBLE
 
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
     def test_solve_sparse_matches_dense(self, rng, backend):
+        # Backends receive the CSR form; hand-built dense arrays must solve
+        # to the same answer.
+        solver = get_backend(backend)
         for _ in range(5):
-            model = random_lp_model(rng)
-            dense = model.solve(backend, sparse=False)
-            sparse = model.solve(backend, sparse=True)
+            c, a_ub, b_ub, a_eq, b_eq, bounds = random_lp_model(rng).standard_form()
+            sparse = solver.solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
+            dense = solver.solve(c, a_ub.toarray(), b_ub, a_eq.toarray(), b_eq, bounds)
             assert dense.status == sparse.status
             if dense.status is LPStatus.OPTIMAL:
                 assert dense.objective == pytest.approx(sparse.objective, abs=1e-7)

@@ -110,6 +110,33 @@ class TestDriverConfig:
             DriverConfig(backend="race:highs_native,scipy")
         # The boundary values stay legal: tests and jobs use them.
         DriverConfig(repair_margin=0.0, budget_seconds=0.0, delta_bound=0.0)
+        # Decoding is strict about types: no bool()/int()/float() coercion.
+        for key, bad in (
+            ("incremental", "false"),
+            ("warm_start", 1),
+            ("sparse", "yes"),
+            ("max_rounds", 2.5),
+            ("max_rounds", "abc"),
+            ("max_rounds", True),
+            ("memory_budget", True),
+            ("max_new_counterexamples", 1.5),
+            ("layer_schedule", 3),
+            ("layer_schedule", [1.5]),
+            ("repair_margin", "0.1"),
+            ("delta_bound", True),
+            ("budget_seconds", "5"),
+            ("backend", 3),
+        ):
+            with pytest.raises(RepairError, match=key):
+                DriverConfig.from_dict({key: bad})
+        with pytest.raises(RepairError, match="JSON object"):
+            DriverConfig.from_dict([["max_rounds", 3]])
+        # JSON numbers may carry integers as integral floats.
+        config = DriverConfig.from_dict(
+            {"max_rounds": 3.0, "layer_schedule": [4.0], "memory_budget": 1024.0}
+        )
+        assert config == DriverConfig(max_rounds=3, layer_schedule=(4,), memory_budget=1024)
+        assert type(config.max_rounds) is int and type(config.layer_schedule[0]) is int
 
     def test_replace_revalidates(self):
         config = DriverConfig(max_rounds=5)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +160,8 @@ class TestPartitionInvariance:
 class TestIncrementalDifferential:
     """Incremental driver runs must reproduce cold runs on the φ8 spec."""
 
+    # ``sparse`` sets the retained no-op ``DriverConfig.sparse`` field: every
+    # value must leave the repair unchanged, since old configs still carry it.
     @pytest.mark.parametrize(
         "backend,sparse,warm,workers",
         [
@@ -342,25 +345,34 @@ class TestLPSession:
         return model, delta
 
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_appended_session_matches_cold_model(self, rng, backend, sparse):
+    @pytest.mark.parametrize("stream", [True, False])
+    def test_appended_session_matches_cold_model(self, rng, backend, stream):
         model, delta = self.build_model(6, rng)
-        session = model.incremental_session(sparse=sparse, backend=backend)
+        session = model.incremental_session(backend=backend)
         first = session.solve()
         extra = rng.normal(size=(3, 5))
         rhs = rng.normal(size=3) + 4.0
-        model.add_leq_block(extra, rhs, delta)
-        assert session.append_rows() == 3
+        if stream:
+            # The streaming ingestion point, one dense and one CSR chunk.
+            chunks = [(extra[:2], rhs[:2], delta), (sp.csr_matrix(extra[2:]), rhs[2:], delta)]
+            assert session.append_rows(stream=iter(chunks)) == 3
+        else:
+            model.add_leq_block(extra, rhs, delta)
+            assert session.append_rows() == 3
         second = session.solve()
 
         cold_rng = ensure_rng(12345)
         cold_model, cold_delta = self.build_model(6, cold_rng)
-        cold_first = cold_model.solve(backend, sparse=sparse)
+        cold_first = cold_model.solve(backend)
         cold_model.add_leq_block(extra, rhs, cold_delta)
-        cold_second = cold_model.solve(backend, sparse=sparse)
+        cold_second = cold_model.solve(backend)
         assert first.values.tobytes() == cold_first.values.tobytes()
         assert second.values.tobytes() == cold_second.values.tobytes()
         assert session.num_rows == cold_model.num_constraints
+        _, a_session, *_ = session.standard_form()
+        _, a_cold, *_ = cold_model.standard_form()
+        for name in ("data", "indices", "indptr"):
+            assert getattr(a_session, name).tobytes() == getattr(a_cold, name).tobytes()
 
     def test_append_rows_rejects_new_variables(self, rng):
         model, _ = self.build_model(4, rng)
@@ -370,31 +382,6 @@ class TestLPSession:
             session.append_rows()
         with pytest.raises(LPError):
             session.standard_form()
-
-    def test_tail_blocks_pin_rows_to_the_bottom(self, rng):
-        model = LPModel()
-        delta = model.add_variables(5, "d")
-        model.add_leq_block(rng.normal(size=(4, 5)), rng.normal(size=4) + 3.0, delta)
-        add_norm_objective(model, delta, "linf")  # two 5-row tail blocks
-        session = model.incremental_session(sparse=False, tail_blocks=2)
-        _, a_before, *_ = session.standard_form()
-        model.add_leq_block(np.ones((1, 5)), [10.0], delta)
-        session.append_rows()
-        _, a_after, b_after, *_ = session.standard_form()
-        # The appended row sits *above* the pinned norm tail...
-        np.testing.assert_array_equal(a_after[4], np.concatenate([np.ones(5), [0.0]]))
-        # ...and the tail still occupies the bottom rows.
-        np.testing.assert_array_equal(a_after[-10:], a_before[-10:])
-        assert b_after.shape[0] == a_after.shape[0]
-
-    def test_tail_blocks_validation_and_empty_model(self):
-        model = LPModel()
-        with pytest.raises(LPError):
-            model.incremental_session(tail_blocks=1)
-        session = model.incremental_session()
-        solution = session.solve()
-        assert solution.status is LPStatus.OPTIMAL
-        assert solution.values.size == 0
 
     def test_foreign_warm_start_is_dropped(self, rng):
         model, _ = self.build_model(4, rng)
@@ -416,7 +403,7 @@ class TestWarmStartBackends:
 
     def test_simplex_dual_warm_start_matches_cold_objective(self):
         model, delta = self.fence_model()
-        session = model.incremental_session(backend="simplex", sparse=False)
+        session = model.incremental_session(backend="simplex")
         first = session.solve()
         assert first.warm_start is not None and first.warm_start.payload is not None
         model.add_leq_block(np.array([[-1.0, -1.0, 0.0, 0.0]]), [-1.4], delta)
@@ -430,7 +417,7 @@ class TestWarmStartBackends:
 
     def test_simplex_warm_start_detects_appended_infeasibility(self):
         model, delta = self.fence_model()
-        session = model.incremental_session(backend="simplex", sparse=False)
+        session = model.incremental_session(backend="simplex")
         first = session.solve()
         model.add_leq_block(np.eye(4)[:1], [0.1], delta)  # d0 <= 0.1 contradicts
         session.append_rows()
@@ -440,7 +427,7 @@ class TestWarmStartBackends:
 
     def test_simplex_incompatible_payload_falls_back_cold(self):
         model, _ = self.fence_model()
-        session = model.incremental_session(backend="simplex", sparse=False)
+        session = model.incremental_session(backend="simplex")
         stale = WarmStart(
             backend="simplex", values=np.zeros(4), payload={"n": 99, "num_eq": 0}
         )
@@ -483,15 +470,15 @@ class TestWarmStartBackends:
             # scipy deprecates the method; the fallback contract is what we
             # pin here, not the method's lifecycle.
             warnings.simplefilter("ignore", DeprecationWarning)
-            first = backend.solve(*model.standard_form(sparse=False))
+            first = backend.solve(*model.standard_form())
             assert first.status is LPStatus.OPTIMAL
             # The cut makes the prior optimum (0.5, 0.5, ...) infeasible,
             # so the guess cannot seed a basic feasible solution.
             model.add_leq_block(np.array([[-1.0, -1.0, 0.0, 0.0]]), [-1.4], delta)
             warm = backend.solve(
-                *model.standard_form(sparse=False), warm_start=first.warm_start
+                *model.standard_form(), warm_start=first.warm_start
             )
-            cold = backend.solve(*model.standard_form(sparse=False))
+            cold = backend.solve(*model.standard_form())
         assert warm.status is LPStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 

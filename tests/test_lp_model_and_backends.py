@@ -70,6 +70,26 @@ class TestLPModelConstruction:
         assert solution.status is LPStatus.OPTIMAL
         assert solution.objective == 0.0
 
+    @pytest.mark.parametrize(
+        "add_block,rhs,expected",
+        [
+            ("add_leq_block", -1.0, LPStatus.INFEASIBLE),
+            ("add_leq_block", 0.0, LPStatus.OPTIMAL),
+            ("add_leq_block", 2.0, LPStatus.OPTIMAL),
+            ("add_eq_block", 1.0, LPStatus.INFEASIBLE),
+            ("add_eq_block", 0.0, LPStatus.OPTIMAL),
+        ],
+    )
+    def test_empty_model_verdict_reads_its_constant_rows(self, add_block, rhs, expected):
+        # Without variables every row reads ``0 <= rhs`` or ``0 == rhs``.
+        model = LPModel()
+        getattr(model, add_block)(np.zeros((1, 0)), [rhs], [])
+        assert model.solve().status is expected
+        session = model.incremental_session()
+        assert session.solve().status is expected
+        if expected is LPStatus.OPTIMAL:
+            assert session.solve().values.size == 0
+
     def test_standard_form_shapes(self):
         model = LPModel()
         indices = model.add_variables(2, lower=0.0)
@@ -220,7 +240,6 @@ class TestBackendRegistry:
         probe = backend_capabilities("highs_native")
         assert probe["name"] == "highs_native"
         assert probe["available"] is HIGHSPY_AVAILABLE
-        assert probe["supports_sparse"] is True
 
 
 class TestBackendAgreement:
@@ -258,8 +277,7 @@ class TestBackendPortfolioOracle:
 
     Random standard forms with a *known* status class (feasible-bounded,
     infeasible, unbounded) are solved by every registered backend — aliases
-    and the (possibly degraded) native backend included — in both dense and
-    sparse representations.  All solves must agree on status, and on the
+    and the (possibly degraded) native backend included.  All solves must agree on status, and on the
     objective within tolerance when optimal: any backend's answer can stand
     in for any other's.
     """
@@ -295,7 +313,6 @@ class TestBackendPortfolioOracle:
     @given(data=st.data())
     def test_portfolio_agrees_on_random_standard_forms(self, data):
         kind = data.draw(st.sampled_from(["feasible", "infeasible", "unbounded"]))
-        sparse = data.draw(st.booleans())
         num_vars = data.draw(st.integers(1, 4))
         num_rows = data.draw(st.integers(1, 5))
         seed = data.draw(st.integers(0, 10_000))
@@ -310,7 +327,7 @@ class TestBackendPortfolioOracle:
             # A fresh, identically-seeded generator per backend: every member
             # of the portfolio sees the exact same standard form.
             model = self._build(kind, np.random.default_rng(seed), num_vars, num_rows)
-            solutions[backend] = model.solve(backend, sparse=sparse)
+            solutions[backend] = model.solve(backend)
 
         statuses = {backend: solution.status for backend, solution in solutions.items()}
         assert set(statuses.values()) == {expected}, statuses
@@ -459,7 +476,7 @@ class TestHighsNativeBackend:
         delta = model.add_variables(2, lower=-5.0, upper=5.0)
         model.add_leq_block(np.array([[1.0, 1.0]]), [4.0], delta)
         add_l1_objective(model, delta)
-        foreign = get_backend("highs_native").solve(*model.standard_form(sparse=True))
+        foreign = get_backend("highs_native").solve(*model.standard_form())
         assert foreign.warm_start is not None and foreign.warm_start.payload
         session = model.incremental_session(backend="highs_native")
         first = session.solve()

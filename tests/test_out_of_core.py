@@ -38,7 +38,7 @@ from repro.core.jacobian import (
     encode_constraints_padded,
     finite_difference_jacobians,
 )
-from repro.core.point_repair import point_repair
+from repro.core.point_repair import IncrementalPointRepairSession, point_repair
 from repro.core.specs import PointRepairSpec
 from repro.datasets.acas import phi8_property
 from repro.datasets.corruptions import fog_corrupt
@@ -197,16 +197,19 @@ class TestFiniteDifferenceBatch:
 
 
 class TestChunkedRepairDifferential:
-    """point_repair with any chunk budget solves the same LP, byte for byte."""
+    """Repair with any chunk budget solves the same LP, byte for byte."""
 
     @pytest.mark.parametrize("chunk_bytes", [1, 2_048, HUGE_BUDGET])
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_chunked_matches_dense(self, chunk_bytes, sparse):
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_chunked_matches_dense(self, chunk_bytes, incremental):
         ddnn, layer, spec = small_workload()
-        dense = point_repair(ddnn, layer, spec, sparse=sparse)
-        chunked = point_repair(
-            ddnn, layer, spec, sparse=sparse, max_chunk_bytes=chunk_bytes
-        )
+        dense = point_repair(ddnn, layer, spec)
+        if incremental:
+            session = IncrementalPointRepairSession(ddnn, layer, max_chunk_bytes=chunk_bytes)
+            session.append_points(spec)
+            chunked = session.solve()
+        else:
+            chunked = point_repair(ddnn, layer, spec, max_chunk_bytes=chunk_bytes)
         assert chunked.feasible == dense.feasible
         assert chunked.delta.tobytes() == dense.delta.tobytes()
 
@@ -214,10 +217,8 @@ class TestChunkedRepairDifferential:
     @given(seed=st.integers(0, 10**6), chunk_bytes=st.integers(1, 1 << 16))
     def test_any_partition_yields_identical_solutions(self, seed, chunk_bytes):
         ddnn, layer, spec = small_workload(seed=seed, num_points=5)
-        dense = point_repair(ddnn, layer, spec, sparse=True)
-        chunked = point_repair(
-            ddnn, layer, spec, sparse=True, max_chunk_bytes=chunk_bytes
-        )
+        dense = point_repair(ddnn, layer, spec)
+        chunked = point_repair(ddnn, layer, spec, max_chunk_bytes=chunk_bytes)
         assert chunked.feasible == dense.feasible
         if dense.feasible:
             assert chunked.delta.tobytes() == dense.delta.tobytes()
@@ -369,7 +370,6 @@ class TestDriverDifferential:
             max_rounds=20,
             incremental=incremental,
             max_new_counterexamples=4,
-            sparse=True,
             memory_budget=memory_budget,
         ).run()
 
@@ -432,7 +432,6 @@ class TestDriverDifferential:
                 GridVerifier(certify_exhaustive=True),
                 max_rounds=8,
                 incremental=True,
-                sparse=True,
                 memory_budget=memory_budget,
             ).run()
 

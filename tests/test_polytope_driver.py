@@ -316,8 +316,9 @@ class TestPolytopeDriverDifferential:
     On an all-regions-violated spec the round-1 pool expands to exactly the
     key points ``reduce_to_key_points`` generates, in the same order, so the
     repair LP — and therefore the applied delta — must be byte-identical,
-    across LP backends, sparse/dense assembly, worker counts, and the
-    incremental session path.
+    across LP backends, worker counts, and the incremental session path.
+    ``sparse`` sets the retained no-op ``DriverConfig.sparse`` field, which
+    must leave the driver's repair unchanged.
     """
 
     @pytest.mark.parametrize(
@@ -337,9 +338,7 @@ class TestPolytopeDriverDifferential:
     ):
         network, spec = polytope_scenario
         layer = DecoupledNetwork.from_network(network).repairable_layer_indices()[-1]
-        one_shot = polytope_repair(
-            network, layer, spec, backend=backend, sparse=sparse
-        )
+        one_shot = polytope_repair(network, layer, spec, backend=backend)
         assert one_shot.feasible
 
         def run(engine=None):

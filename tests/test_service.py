@@ -179,6 +179,15 @@ class TestProtocol:
             (lambda job: job.update(verifier={"kind": "exhaustive"}), "unknown verifier"),
             (lambda job: job.update(version=99), "protocol version"),
             (lambda job: job.update(config={"max_round": 1}), "unknown driver config"),
+            (lambda job: job.update(config={"max_rounds": "abc"}), "max_rounds"),
+            (lambda job: job.update(config={"layer_schedule": 3}), "layer_schedule"),
+            (lambda job: job.update(config={"incremental": "false"}), "incremental"),
+            (
+                lambda job: job.update(verifier={"kind": "grid", "resolution": -3}),
+                "bad parameters",
+            ),
+            (lambda job: job.update(verifier={"kind": "grid", "grain": 3}), "bad parameters"),
+            (lambda job: job.update(verifier={"kind": "grid", "engine": 3}), "runtime resource"),
         ],
     )
     def test_malformed_jobs_rejected(self, mutate, match):
@@ -337,6 +346,25 @@ class TestHTTPEndToEnd:
         with pytest.raises(ServiceError) as bad_job:
             client.submit({"kind": "repair"})
         assert bad_job.value.status == 400
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("config", {"max_rounds": "abc"}),
+            ("verifier", {"kind": "grid", "resolution": -3}),
+        ],
+    )
+    def test_bad_config_or_verifier_parameters_are_400(self, http_server, field, value):
+        # Malformed parameters are the submitter's error at POST time, never
+        # a job that later fails in the worker.
+        client, _ = http_server
+        network, spec = plane_scenario(7)
+        job = make_job("repair", network, spec)
+        job[field] = value
+        with pytest.raises(ServiceError) as bad_job:
+            client.submit(job)
+        assert bad_job.value.status == 400
+        assert client.jobs() == []
 
 
 @pytest.mark.slow
