@@ -153,13 +153,20 @@ def cross_check_warm_identical(results: list[dict]) -> None:
 
 
 def run_benchmark(
-    *, num_jobs: int, width: int, job_workers: int, min_warm_speedup: float | None
+    *,
+    num_jobs: int,
+    width: int,
+    job_workers: int,
+    engine_workers: int,
+    min_warm_speedup: float | None,
 ) -> dict:
     cold_jobs = [build_job(seed, width) for seed in range(1, num_jobs + 1)]
     warm_jobs = [build_job(0, width) for _ in range(num_jobs)]
 
     with TemporaryDirectory() as state_dir:
-        server = serve(state_dir, port=0, job_workers=job_workers)
+        server = serve(
+            state_dir, port=0, job_workers=job_workers, engine_workers=engine_workers
+        )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -192,6 +199,7 @@ def run_benchmark(
         "benchmark": "service",
         "network": {"width": width, "input_size": 2, "classes": 3},
         "job_workers": job_workers,
+        "engine_workers": engine_workers,
         "python": platform.python_version(),
         "cold": cold["stats"],
         "warm": warm["stats"],
@@ -215,6 +223,10 @@ def main() -> None:
     parser.add_argument(
         "--job-workers", type=int, default=2,
         help="concurrent jobs in the daemon (default: 2)",
+    )
+    parser.add_argument(
+        "--engine-workers", type=int, default=1,
+        help="worker processes of the daemon's shared engine (default: 1)",
     )
     parser.add_argument(
         "--min-warm-speedup",
@@ -243,6 +255,7 @@ def main() -> None:
         num_jobs=args.jobs,
         width=args.width,
         job_workers=args.job_workers,
+        engine_workers=args.engine_workers,
         min_warm_speedup=args.min_warm_speedup or None,
     )
     report["telemetry"] = telemetry_document()

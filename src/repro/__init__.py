@@ -33,7 +33,7 @@ The package is organized as:
     between verification and repair.
 ``repro.engine``
     The parallel execution engine: sharded SyReNN decomposition across a
-    worker pool, priority job scheduling, and a two-tier partition cache.
+    worker pool, one task batch per call, and a two-tier partition cache.
 ``repro.api``
     The one-import facade: :func:`repro.api.repair`,
     :func:`repro.api.verify`, and :func:`repro.api.submit` (jobs to a
@@ -89,7 +89,7 @@ from repro.verify import (
     make_verifier,
 )
 from repro.driver import CounterexamplePool, DriverConfig, DriverReport, RepairDriver
-from repro.engine import JobScheduler, PartitionCache, ShardedSyrennEngine
+from repro.engine import PartitionCache, ShardedSyrennEngine
 from repro import api
 from repro import obs
 
@@ -132,7 +132,6 @@ __all__ = [
     "DriverReport",
     "ShardedSyrennEngine",
     "PartitionCache",
-    "JobScheduler",
     "api",
     "obs",
     "__version__",

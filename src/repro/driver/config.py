@@ -172,20 +172,10 @@ class DriverConfig:
         """Rebuild a config from :meth:`to_dict` output (or hand-written JSON).
 
         Unknown keys are rejected rather than ignored: a job that misspells
-        a knob must fail loudly, not silently run with the default.  One
-        spelling convenience: ``lp_backend`` is accepted as an alias for
-        ``backend``, but never
-        alongside it.
+        a knob must fail loudly, not silently run with the default.
         """
         if not isinstance(payload, dict):
             raise RepairError(f"a driver config must be a JSON object, got {payload!r}")
-        if "lp_backend" in payload:
-            if "backend" in payload:
-                raise RepairError(
-                    'config gives both "backend" and its alias "lp_backend"'
-                )
-            payload = dict(payload)
-            payload["backend"] = payload.pop("lp_backend")
         known = {entry.name for entry in fields(cls)}
         unknown = set(payload) - known
         if unknown:

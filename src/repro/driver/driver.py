@@ -304,7 +304,7 @@ class RepairDriver:
         Optional :class:`repro.engine.ShardedSyrennEngine`.  When given, it
         is attached to the verifier (if the verifier supports one and has
         none yet) so every round's verification runs through the engine's
-        worker pool and partition cache, and the engine's scheduler/cache
+        worker pool and partition cache, and the engine's task/cache
         statistics are included in the final :class:`DriverReport`.
     incremental:
         ``True`` switches both halves of the loop onto the incremental fast

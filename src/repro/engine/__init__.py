@@ -1,22 +1,21 @@
 """The parallel SyReNN/repair execution engine.
 
 * :mod:`repro.engine.engine` — :class:`ShardedSyrennEngine`: sharded,
-  cached, multiprocessing-parallel decomposition and sweep jobs, with
-  ``workers=1`` preserving exact serial behavior.
-* :mod:`repro.engine.jobs` — :class:`JobScheduler`: priority-queue batching
-  of independent jobs with cancellation and ``TimeBudget`` integration.
+  cached, multiprocessing-parallel decomposition and sweep jobs, each call
+  dispatched as one task batch, with ``workers=1`` preserving exact serial
+  behavior.
 * :mod:`repro.engine.cache` — :class:`PartitionCache`: an in-memory LRU in
   front of the shared ``REPRO_CACHE_DIR`` disk tier, keyed by
   ``(network fingerprint, geometry digest)``, with per-tier hit/miss/
   eviction statistics.
 * :mod:`repro.engine.sharding` — deterministic geometry sharding and
-  merging for lines and planes.
+  merging for lines and planes, and deterministic row spans for stacked
+  batches.
 * :mod:`repro.engine.worker` — spawn-safe worker-side task execution.
 """
 
 from repro.engine.cache import BoundedLru, CacheStats, PartitionCache, TierStats
 from repro.engine.engine import ShardedSyrennEngine
-from repro.engine.jobs import Job, JobScheduler
 from repro.engine.sharding import merge_line_partitions, shard_polygon, shard_segment
 from repro.syrenn.regions import LinearRegion, geometry_digest
 
@@ -32,8 +31,6 @@ __all__ = [
     "BoundedLru",
     "Engine",
     "CacheStats",
-    "Job",
-    "JobScheduler",
     "LinearRegion",
     "PartitionCache",
     "ShardedSyrennEngine",

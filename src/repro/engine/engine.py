@@ -1,15 +1,15 @@
 """The sharded, parallel SyReNN execution engine.
 
 :class:`ShardedSyrennEngine` turns the two dominant costs of the pipeline —
-exact SyReNN decomposition and per-region network sweeps — into schedulable
-jobs that run across a ``multiprocessing`` worker pool:
+exact SyReNN decomposition and per-region network sweeps — into task
+batches that run across a ``multiprocessing`` worker pool:
 
 1. **Sharding** — each input line/plane splits into geometry shards
    (:mod:`repro.engine.sharding`); shard layout depends only on the geometry
    and ``shards_per_region``, never on the worker count.
-2. **Scheduling** — shards and sweeps become tasks on a
-   :class:`~repro.engine.jobs.JobScheduler`, dispatched in priority order in
-   batches the pool runs concurrently.
+2. **Dispatch** — each engine call turns its shards and sweeps into one
+   batch of tasks, which the pool runs concurrently (a call whose every
+   region is a cache hit dispatches nothing).
 3. **Merging** — per-shard results merge deterministically in input order,
    so any worker count (including ``workers=1``, which runs every task
    in-process) produces byte-identical partitions, verdicts, and repairs.
@@ -18,7 +18,7 @@ jobs that run across a ``multiprocessing`` worker pool:
    ``(network fingerprint, geometry digest)``; the disk tier is shared
    across processes.
 
-Workers are started with the ``spawn`` method by default: they inherit
+Workers are started with the ``spawn`` method: they inherit
 nothing, so networks cross the boundary as
 :func:`repro.utils.serialization.encode_network` payloads and every task is
 a plain picklable tuple (:mod:`repro.engine.worker`).
@@ -34,8 +34,12 @@ import numpy as np
 
 import repro.obs as obs
 from repro.engine.cache import BoundedLru, PartitionCache
-from repro.engine.jobs import JobScheduler, chunk_spans
-from repro.engine.sharding import merge_line_partitions, shard_polygon, shard_segment
+from repro.engine.sharding import (
+    chunk_spans,
+    merge_line_partitions,
+    shard_polygon,
+    shard_segment,
+)
 from repro.engine.worker import encode_region, run_task
 from repro.exceptions import EngineError
 from repro.polytope.segment import LineSegment
@@ -43,7 +47,6 @@ from repro.syrenn.line import LinePartition
 from repro.syrenn.plane import PlanePartition, PlaneRegion
 from repro.syrenn.regions import LinearRegion, geometry_digest
 from repro.utils.serialization import encode_network, network_fingerprint
-from repro.utils.timing import TimeBudget
 
 #: How many encoded network payloads the engine keeps around (a CEGIS driver
 #: produces one fresh value channel per round; payloads are small).
@@ -71,9 +74,6 @@ class ShardedSyrennEngine:
         ``True`` (default) builds a :class:`PartitionCache` with the default
         ``REPRO_CACHE_DIR`` disk tier; ``False``/``None`` disables caching;
         an explicit :class:`PartitionCache` is used as given.
-    start_method:
-        ``multiprocessing`` start method for the pool (default ``"spawn"``:
-        safest, no inherited state).
     """
 
     def __init__(
@@ -82,8 +82,6 @@ class ShardedSyrennEngine:
         *,
         shards_per_region: int = 1,
         cache: PartitionCache | bool | None = True,
-        start_method: str = "spawn",
-        scheduler_batch_size: int | None = None,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -93,16 +91,14 @@ class ShardedSyrennEngine:
             raise EngineError("shards_per_region must be positive")
         self.workers = int(workers)
         self.shards_per_region = int(shards_per_region)
-        self.start_method = start_method
         if cache is True:
             self.cache: PartitionCache | None = PartitionCache()
         elif cache is False or cache is None:
             self.cache = None
         else:
             self.cache = cache
-        self.scheduler = JobScheduler(
-            executor=self._execute_batch, batch_size=scheduler_batch_size
-        )
+        self.jobs_executed = 0
+        self.batches_dispatched = 0
         self._pool = None
         self._payloads = BoundedLru(MAX_PAYLOADS)
 
@@ -111,7 +107,7 @@ class ShardedSyrennEngine:
     # ------------------------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
-            context = multiprocessing.get_context(self.start_method)
+            context = multiprocessing.get_context("spawn")
             self._pool = context.Pool(processes=self.workers)
         return self._pool
 
@@ -138,11 +134,11 @@ class ShardedSyrennEngine:
     # Execution
     # ------------------------------------------------------------------
     def _execute_batch(self, tasks: list) -> list:
-        """The scheduler's executor: inline for one worker, pooled otherwise."""
+        """Run one task batch: inline for one worker, pooled otherwise."""
         if obs.enabled():
             # Counted for every batch, inline or pooled, so the series is
-            # identical at any worker count (scheduler batching is
-            # worker-independent).
+            # identical at any worker count (each engine call is one batch,
+            # whatever the worker count).
             obs.counter(
                 "repro_engine_batches_total",
                 "Task batches executed by the engine.",
@@ -183,42 +179,35 @@ class ShardedSyrennEngine:
             self._payloads.put(fingerprint, payload)
         return fingerprint, payload
 
-    def _gather(self, tasks: list, budget: TimeBudget | None = None) -> list:
-        jobs = self.scheduler.submit_many(tasks)
-        return self.scheduler.gather(jobs, budget=budget)
+    def _gather(self, tasks: list) -> list:
+        """Run ``tasks`` as one batch; results in task order.
+
+        An empty batch (every region a cache hit) returns ``[]`` without
+        counting a batch or starting the pool.
+        """
+        if not tasks:
+            return []
+        results = self._execute_batch(tasks)
+        self.batches_dispatched += 1
+        self.jobs_executed += len(tasks)
+        return results
 
     # ------------------------------------------------------------------
     # Decomposition API
     # ------------------------------------------------------------------
-    def transform_line(self, network, segment: LineSegment) -> LinePartition:
-        """``LinRegions(network, segment)``, sharded/cached/parallel."""
-        return self.transform_lines(network, [segment])[0]
-
     def transform_lines(
-        self,
-        network,
-        segments: list[LineSegment],
-        budget: TimeBudget | None = None,
-        use_cache: bool = True,
+        self, network, segments: list[LineSegment], use_cache: bool = True
     ) -> list[LinePartition]:
-        """Decompose many segments concurrently, results in input order."""
+        """``LinRegions`` of many segments concurrently, results in input order."""
         plan = self._plan_lines(network, segments, use_cache)
-        return self._finish_lines(plan, self._gather(plan.tasks, budget))
-
-    def transform_plane(self, network, vertices: np.ndarray) -> PlanePartition:
-        """``LinRegions(network, polygon)``, sharded/cached/parallel."""
-        return self.transform_planes(network, [vertices])[0]
+        return self._finish_lines(plan, self._gather(plan.tasks))
 
     def transform_planes(
-        self,
-        network,
-        polygons: list[np.ndarray],
-        budget: TimeBudget | None = None,
-        use_cache: bool = True,
+        self, network, polygons: list[np.ndarray], use_cache: bool = True
     ) -> list[PlanePartition]:
-        """Decompose many planar polygons concurrently, results in input order."""
+        """``LinRegions`` of many planar polygons concurrently, in input order."""
         plan = self._plan_planes(network, polygons, use_cache)
-        return self._finish_planes(plan, self._gather(plan.tasks, budget))
+        return self._finish_planes(plan, self._gather(plan.tasks))
 
     def _plan_lines(self, network, segments: list[LineSegment], use_cache: bool) -> "_Plan":
         """Cache lookups + shard tasks for segments, without dispatching."""
@@ -290,7 +279,6 @@ class ShardedSyrennEngine:
         self,
         network,
         regions: list[LineSegment | np.ndarray],
-        budget: TimeBudget | None = None,
         use_cache: bool = True,
     ) -> list[list[LinearRegion]]:
         """Linear regions of many (normalized) spec regions, in input order.
@@ -319,7 +307,7 @@ class ShardedSyrennEngine:
         plane_plan = self._plan_planes(
             network, [regions[i] for i in polygon_indices], use_cache
         )
-        results = self._gather(line_plan.tasks + plane_plan.tasks, budget)
+        results = self._gather(line_plan.tasks + plane_plan.tasks)
         line_partitions = self._finish_lines(line_plan, results[: len(line_plan.tasks)])
         plane_partitions = self._finish_planes(plane_plan, results[len(line_plan.tasks) :])
 
@@ -342,24 +330,10 @@ class ShardedSyrennEngine:
     # ------------------------------------------------------------------
     # Sweep API (sampling verifiers)
     # ------------------------------------------------------------------
-    def evaluate_batches(
-        self,
-        network,
-        batches: list[np.ndarray],
-        activation_points: list[np.ndarray | None] | None = None,
-        budget: TimeBudget | None = None,
-    ) -> list[np.ndarray]:
-        """Network outputs for many point batches, one job per batch."""
+    def evaluate_batches(self, network, batches: list[np.ndarray]) -> list[np.ndarray]:
+        """Network outputs for many point batches, one task per batch."""
         fingerprint, payload = self._payload(network)
-        if activation_points is None:
-            activation_points = [None] * len(batches)
-        if len(activation_points) != len(batches):
-            raise EngineError("one activation point (or None) per batch is required")
-        tasks = [
-            ("evaluate", fingerprint, payload, batch, activation)
-            for batch, activation in zip(batches, activation_points)
-        ]
-        return self._gather(tasks, budget)
+        return self._gather([("evaluate", fingerprint, payload, batch) for batch in batches])
 
     def evaluate_regions(
         self,
@@ -368,7 +342,6 @@ class ShardedSyrennEngine:
         activations: np.ndarray,
         *,
         chunk_rows: int = 1024,
-        budget: TimeBudget | None = None,
     ) -> np.ndarray:
         """Outputs for stacked linear-region vertices with per-row activations.
 
@@ -392,7 +365,7 @@ class ShardedSyrennEngine:
             ("evaluate_regions", fingerprint, payload, vertices[start:stop], activations[start:stop])
             for start, stop in chunk_spans(vertices.shape[0], chunk_rows)
         ]
-        results = self._gather(tasks, budget)
+        results = self._gather(tasks)
         if not results:
             return np.zeros((0, network.output_size))
         return np.vstack(results)
@@ -403,7 +376,6 @@ class ShardedSyrennEngine:
         regions: list,
         seeds: list[int],
         num_samples: int,
-        budget: TimeBudget | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Worker-side sampling + evaluation: ``(points, outputs)`` per region.
 
@@ -417,14 +389,10 @@ class ShardedSyrennEngine:
             ("sample", fingerprint, payload, encode_region(region), seed, num_samples)
             for region, seed in zip(regions, seeds)
         ]
-        return self._gather(tasks, budget)
+        return self._gather(tasks)
 
     def encode_point_batches(
-        self,
-        ddnn,
-        layer_index: int,
-        specs: list,
-        budget: TimeBudget | None = None,
+        self, ddnn, layer_index: int, specs: list
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Repair constraint rows ``(lhs, rhs)`` for many point batches.
 
@@ -448,18 +416,16 @@ class ShardedSyrennEngine:
             )
             for spec in specs
         ]
-        return self._gather(tasks, budget)
+        return self._gather(tasks)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """A JSON-ready snapshot of scheduler and cache counters."""
+        """A JSON-ready snapshot of task, batch and cache counters."""
         return {
             "workers": self.workers,
             "shards_per_region": self.shards_per_region,
-            "start_method": self.start_method,
-            "jobs_executed": self.scheduler.jobs_executed,
-            "jobs_cancelled": self.scheduler.jobs_cancelled,
-            "batches_dispatched": self.scheduler.batches_dispatched,
+            "jobs_executed": self.jobs_executed,
+            "batches_dispatched": self.batches_dispatched,
             "cache": self.cache.as_dict() if self.cache is not None else None,
         }
 

@@ -20,12 +20,17 @@ reaches identical verdicts; shard boundaries may appear as extra
 breakpoints.  Crucially the shard layout is a pure function of the geometry
 and the shard count — never of the worker count — so any number of workers
 produces byte-identical merged output.
+
+The same holds for row sharding: :func:`chunk_spans` cuts a stacked batch
+into fixed-size row spans, and :func:`contiguous_spans` recovers the
+groups already present in one; both depend only on their input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import EngineError
 from repro.polytope.polygon import fan_wedges
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import RATIO_TOLERANCE, LinePartition
@@ -73,3 +78,35 @@ def merge_line_partitions(
     )
     keep = np.concatenate([[True], np.diff(global_ratios) > RATIO_TOLERANCE])
     return LinePartition(segment=segment, ratios=global_ratios[keep])
+
+
+def chunk_spans(total: int, chunk_size: int) -> list[tuple[int, int]]:
+    """Contiguous ``(start, stop)`` spans covering ``range(total)``.
+
+    The engine uses this to split one large batched job (e.g. re-evaluating
+    every cached vertex of a specification) into fixed-size tasks: the span
+    layout depends only on ``total`` and ``chunk_size`` — never on the
+    worker count — so merged results are deterministic.
+    """
+    if chunk_size < 1:
+        raise EngineError("chunk_size must be positive")
+    return [(start, min(start + chunk_size, total)) for start in range(0, total, chunk_size)]
+
+
+def contiguous_spans(ids) -> list[tuple[int, int]]:
+    """``(start, stop)`` spans of equal consecutive values in ``ids``.
+
+    The complement of :func:`chunk_spans`: instead of imposing a fixed chunk
+    layout, it recovers the natural grouping already present in a stacked
+    result (e.g. which rows of a cached vertex stack belong to the same
+    linear region).  Like ``chunk_spans`` the output depends only on the
+    input sequence, so span-wise consumers stay deterministic at any worker
+    count.
+    """
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        return []
+    boundaries = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    starts = np.concatenate([[0], boundaries])
+    stops = np.concatenate([boundaries, [ids.size]])
+    return list(zip(starts.tolist(), stops.tolist()))

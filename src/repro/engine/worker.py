@@ -15,8 +15,7 @@ Task tuples understood by :func:`run_task`:
   ``transform_line`` over the segment;
 * ``("plane", fingerprint, payload, vertices)`` → per-region
   ``(input_vertices, plane_vertices)`` pairs of ``transform_plane``;
-* ``("evaluate", fingerprint, payload, points, activation_point)`` →
-  batched network outputs, optionally pinned to an activation point (DDNN);
+* ``("evaluate", fingerprint, payload, points)`` → batched network outputs;
 * ``("evaluate_regions", fingerprint, payload, points, activations)`` →
   batched network outputs with a *per-row* pinned activation point — the
   value-only re-verification fast path ships every cached linear-region
@@ -141,11 +140,9 @@ def _run(task: tuple):
         partition = transform_plane(network, vertices)
         return [(region.input_vertices, region.plane_vertices) for region in partition.regions]
     if kind == "evaluate":
-        _, fingerprint, payload, points, activation_point = task
+        _, fingerprint, payload, points = task
         network = _resolve_network(fingerprint, payload)
-        # The shared helper applies activation_point only to DDNNs, exactly
-        # like a serial verifier sweep would.
-        return Verifier._evaluate(network, points, activation_point)
+        return Verifier._evaluate(network, points)
     if kind == "evaluate_regions":
         from repro.core.ddnn import DecoupledNetwork
 

@@ -36,6 +36,3 @@ class NotPiecewiseLinearError(RepairError):
 class EngineError(ReproError):
     """The parallel execution engine was configured or used incorrectly."""
 
-
-class JobCancelledError(EngineError):
-    """A scheduled job was cancelled (explicitly or by an exhausted budget)."""

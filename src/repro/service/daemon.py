@@ -9,9 +9,10 @@ decompositions cached by one job are hits for every later job on the same
 network fingerprint, which is where the warm-versus-cold speedup of
 ``benchmarks/bench_service.py`` comes from.
 
-The engine is *not* thread-safe (its :class:`~repro.engine.jobs.JobScheduler`
-keeps per-dispatch state), so jobs reach it through :class:`SharedEngine`, a
-proxy that serializes every engine call under one lock.  Each call is
+The engine is *not* thread-safe — its network-payload LRU, the partition
+cache and the lazily started worker pool are unsynchronized state — so jobs
+reach it through :class:`SharedEngine`, a proxy that serializes every engine
+call under one lock.  Each call is
 self-contained and deterministic — results depend only on the inputs and the
 (value-independent) cache — so interleaving calls from concurrent jobs
 changes nothing about any job's bytes, only their wall-clock.
@@ -143,48 +144,28 @@ DEFAULT_SLOS = (
 #: Job lifecycle states (``queued`` → ``running`` → ``done``/``failed``).
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 
-_ENGINE_CALLS = (
-    "transform_line",
-    "transform_lines",
-    "transform_plane",
-    "transform_planes",
-    "decompose",
-    "evaluate_batches",
-    "evaluate_regions",
-    "sample_regions",
-    "stats",
-)
-
 
 class SharedEngine:
     """A lock-serializing proxy that makes one engine safe to share.
 
-    The wrapped engine's scheduler is single-threaded state; this proxy
-    funnels every engine entry point through one lock so concurrent jobs
-    interleave *between* engine calls, never inside one.  It duck-types
-    :class:`~repro.engine.Engine` for the verifiers and the driver.
+    The lock guards the engine's payload LRU, its partition cache and its
+    lazily started worker pool: every public method of the wrapped engine
+    runs under it, so concurrent jobs interleave *between* engine calls,
+    never inside one.  Public data attributes (``workers``, ``cache``) pass
+    through unlocked.  It duck-types :class:`~repro.engine.Engine` for the
+    verifiers and the driver.
     """
 
     def __init__(self, engine: ShardedSyrennEngine) -> None:
         self._engine = engine
         self._lock = threading.Lock()
 
-    @property
-    def cache(self) -> PartitionCache | None:
-        return self._engine.cache
-
-    @property
-    def workers(self) -> int:
-        return self._engine.workers
-
-    def close(self) -> None:
-        with self._lock:
-            self._engine.close()
-
     def __getattr__(self, name: str):
-        if name not in _ENGINE_CALLS:
+        if name.startswith("_"):
             raise AttributeError(name)
         method = getattr(self._engine, name)
+        if not callable(method):
+            return method
 
         @functools.wraps(method)
         def locked(*args, **kwargs):

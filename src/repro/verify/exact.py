@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.ddnn import DecoupledNetwork
-from repro.engine.jobs import contiguous_spans
+from repro.engine.sharding import contiguous_spans
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line

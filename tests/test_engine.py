@@ -14,14 +14,13 @@ import pytest
 from repro.datasets.acas import phi8_property
 from repro.driver import RepairDriver
 from repro.engine import (
-    JobScheduler,
     ShardedSyrennEngine,
     geometry_digest,
     merge_line_partitions,
     shard_polygon,
     shard_segment,
 )
-from repro.exceptions import EngineError, JobCancelledError
+from repro.exceptions import EngineError
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
 from repro.models.acas_models import build_acas_network
 from repro.nn.activations import ReLULayer
@@ -31,7 +30,6 @@ from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
 from repro.utils.rng import derive_seeds, ensure_rng
-from repro.utils.timing import TimeBudget
 from repro.verify import (
     GridVerifier,
     RandomVerifier,
@@ -136,129 +134,6 @@ class TestSharding:
         assert geometry_digest(segment, shards=2) != geometry_digest(segment)
 
 
-class TestJobScheduler:
-    def test_priority_order_with_submission_tiebreak(self):
-        dispatched = []
-
-        def executor(tasks):
-            dispatched.extend(tasks)
-            return [task * 10 for task in tasks]
-
-        scheduler = JobScheduler(executor=executor)
-        scheduler.submit(1, priority=5)
-        scheduler.submit(2, priority=0)
-        scheduler.submit(3, priority=0)
-        jobs = [scheduler.submit(4, priority=-1)]
-        scheduler.gather(jobs)
-        assert dispatched == [4, 2, 3, 1]
-
-    def test_gather_returns_results_in_given_order(self):
-        scheduler = JobScheduler(executor=lambda tasks: [task + 1 for task in tasks])
-        jobs = scheduler.submit_many([10, 20, 30])
-        assert scheduler.gather(list(reversed(jobs))) == [31, 21, 11]
-        assert scheduler.jobs_executed == 3
-
-    def test_cancelled_job_is_never_dispatched(self):
-        dispatched = []
-
-        def executor(tasks):
-            dispatched.extend(tasks)
-            return tasks
-
-        scheduler = JobScheduler(executor=executor)
-        keep = scheduler.submit("keep")
-        drop = scheduler.submit("drop")
-        assert scheduler.cancel(drop)
-        with pytest.raises(JobCancelledError):
-            scheduler.gather([keep, drop])
-        assert dispatched == ["keep"]
-        assert scheduler.gather([keep, drop], on_cancelled="none") == ["keep", None]
-
-    def test_exhausted_budget_cancels_pending(self):
-        scheduler = JobScheduler(executor=lambda tasks: tasks)
-        jobs = scheduler.submit_many([1, 2, 3])
-        results = scheduler.gather(jobs, budget=TimeBudget(0.0), on_cancelled="none")
-        assert results == [None, None, None]
-        assert scheduler.jobs_cancelled == 3
-        assert scheduler.jobs_executed == 0
-
-    def test_budget_interrupts_between_batches(self):
-        import time as time_module
-
-        def slow_executor(tasks):
-            time_module.sleep(0.02)
-            return tasks
-
-        scheduler = JobScheduler(executor=slow_executor, batch_size=1)
-        jobs = scheduler.submit_many(list(range(10)))
-        results = scheduler.gather(jobs, budget=TimeBudget(0.01), on_cancelled="none")
-        # The first batch ran (budget was fresh), later ones were cancelled.
-        assert results[0] == 0
-        assert None in results
-        assert 0 < scheduler.jobs_executed < 10
-
-    def test_engine_decomposition_honors_budget(self, plane_network):
-        engine = ShardedSyrennEngine(workers=1, cache=False)
-        segments = [
-            LineSegment([-1.0, float(i) / 8.0], [1.0, float(i) / 8.0]) for i in range(8)
-        ]
-        with pytest.raises(JobCancelledError):
-            engine.transform_lines(plane_network, segments, budget=TimeBudget(0.0))
-
-    def test_map_unordered_yields_all_indexed_results(self):
-        scheduler = JobScheduler(executor=lambda tasks: [task * 2 for task in tasks])
-        results = dict(scheduler.map_unordered([5, 6, 7]))
-        assert results == {0: 10, 1: 12, 2: 14}
-
-    def test_batch_size_bounds_dispatches(self):
-        sizes = []
-
-        def executor(tasks):
-            sizes.append(len(tasks))
-            return tasks
-
-        scheduler = JobScheduler(executor=executor, batch_size=2)
-        scheduler.gather(scheduler.submit_many(list(range(5))))
-        assert sizes == [2, 2, 1]
-        assert scheduler.batches_dispatched == 3
-
-    def test_gather_stops_once_requested_jobs_settle(self):
-        executed = []
-
-        def executor(tasks):
-            executed.extend(tasks)
-            return tasks
-
-        scheduler = JobScheduler(executor=executor, batch_size=1)
-        urgent = scheduler.submit("urgent", priority=-1)
-        background = scheduler.submit_many(["bg0", "bg1", "bg2"])
-        assert scheduler.gather([urgent]) == ["urgent"]
-        # Background work was not drained on the urgent job's behalf...
-        assert executed == ["urgent"]
-        assert scheduler.pending() == 3
-        # ...and is still there for its own gather later.
-        assert scheduler.gather(background) == ["bg0", "bg1", "bg2"]
-
-    def test_cobatched_jobs_keep_their_results(self):
-        """Jobs dispatched in the same batch as a gathered job stay settled."""
-        scheduler = JobScheduler(executor=lambda tasks: [task * 2 for task in tasks])
-        first = scheduler.submit(1)
-        second = scheduler.submit(2)  # same batch as `first`
-        assert scheduler.gather([first]) == [2]
-        assert second.done  # executed alongside first, result retained
-        assert scheduler.gather([second]) == [4]
-
-    def test_executor_length_mismatch_rejected(self):
-        scheduler = JobScheduler(executor=lambda tasks: [])
-        with pytest.raises(EngineError):
-            scheduler.gather([scheduler.submit(1)])
-
-    def test_default_executor_runs_callables(self):
-        scheduler = JobScheduler()
-        job = scheduler.submit(lambda: 42)
-        assert scheduler.gather([job]) == [42]
-
-
 class TestEngineValidation:
     def test_rejects_bad_configuration(self):
         with pytest.raises(EngineError):
@@ -281,7 +156,7 @@ class TestSerialEquivalence:
         segment = LineSegment([-1.0, 0.5], [1.0, -0.5])
         serial = transform_line(plane_network, segment)
         engine = ShardedSyrennEngine(workers=1, cache=False)
-        assert engine.transform_line(plane_network, segment).ratios.tobytes() == (
+        assert engine.transform_lines(plane_network, [segment])[0].ratios.tobytes() == (
             serial.ratios.tobytes()
         )
 
@@ -299,9 +174,12 @@ class TestSerialEquivalence:
         )
         verifier = SyrennVerifier(engine=engine)
         first = verifier.verify(plane_network, mixed_spec)
-        executed = engine.scheduler.jobs_executed
+        stats = engine.stats()
         second = verifier.verify(plane_network, mixed_spec)
-        assert engine.scheduler.jobs_executed == executed  # served from cache
+        # Served from cache: no task ran, no batch went out, no pool started.
+        assert engine.stats()["jobs_executed"] == stats["jobs_executed"]
+        assert engine.stats()["batches_dispatched"] == stats["batches_dispatched"]
+        assert engine._pool is None
         assert engine.cache.stats.memory.hits > 0
         assert_reports_identical(first, second)
 
@@ -347,9 +225,9 @@ class TestEngineWiring:
                     engine=unused,
                     max_rounds=6,
                 ).run()
-        assert report.engine_stats["jobs_executed"] == used.scheduler.jobs_executed
+        assert report.engine_stats["jobs_executed"] == used.stats()["jobs_executed"]
         assert report.engine_stats["jobs_executed"] > 0
-        assert unused.scheduler.jobs_executed == 0
+        assert unused.stats()["jobs_executed"] == 0
 
     def test_no_stats_when_verifier_cannot_hold_an_engine(
         self, plane_network, mixed_spec
@@ -378,7 +256,7 @@ class TestEngineWiring:
             ).run()
         assert report.status == "certified"
         assert report.engine_stats is None
-        assert engine.scheduler.jobs_executed == 0
+        assert engine.stats()["jobs_executed"] == 0
 
     def test_cache_partitions_false_bypasses_engine_cache(
         self, plane_network, mixed_spec, tmp_path
@@ -394,21 +272,6 @@ class TestEngineWiring:
         assert engine.cache.stats.memory.puts == 0
         assert engine.cache.stats.disk.puts == 0
         assert list(tmp_path.iterdir()) == []
-
-    def test_evaluate_batches_ignores_activation_for_plain_network(
-        self, plane_network
-    ):
-        """Matches Verifier._evaluate: activation points only apply to DDNNs."""
-        points = np.array([[0.1, -0.2], [0.4, 0.3]])
-        engine = ShardedSyrennEngine(workers=1, cache=False)
-        outputs = engine.evaluate_batches(
-            plane_network, [points], activation_points=[points[0]]
-        )
-        np.testing.assert_array_equal(outputs[0], plane_network.compute(points))
-        with pytest.raises(EngineError):
-            engine.evaluate_batches(
-                plane_network, [points, points], activation_points=[points[0]]
-            )
 
 
 class TestWorkerRng:
@@ -483,7 +346,7 @@ class TestParallelDifferential:
             parallel_flat = parallel_outcome.network.value.layers[layer_index].get_parameters()
             assert serial_flat.tobytes() == parallel_flat.tobytes()
 
-        # The engine-backed driver surfaces scheduler/cache statistics.
+        # The engine-backed driver surfaces task/cache statistics.
         assert parallel_outcome.engine_stats is not None
         assert parallel_outcome.engine_stats["workers"] == 4
         assert parallel_outcome.engine_stats["jobs_executed"] > 0

@@ -153,14 +153,14 @@ class TestCrossProcessReuse:
         segment = LineSegment([-1.0, -1.0], [1.0, 1.0])
 
         first_engine = ShardedSyrennEngine(workers=1)
-        first = first_engine.transform_line(network, segment)
+        first = first_engine.transform_lines(network, [segment])[0]
         assert first_engine.cache.stats.misses == 1
         assert first_engine.cache.stats.disk.puts == 1
 
         # A fresh engine (as another process would build it) hits the disk
         # tier instead of re-decomposing, and returns identical ratios.
         second_engine = ShardedSyrennEngine(workers=1)
-        second = second_engine.transform_line(network, segment)
+        second = second_engine.transform_lines(network, [segment])[0]
         assert second_engine.cache.stats.disk.hits == 1
-        assert second_engine.scheduler.jobs_executed == 0
+        assert second_engine.stats()["jobs_executed"] == 0
         assert second.ratios.tobytes() == first.ratios.tobytes()

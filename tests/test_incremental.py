@@ -29,7 +29,7 @@ from repro.core.specs import PointRepairSpec
 from repro.datasets.acas import phi8_property
 from repro.driver import RepairDriver
 from repro.engine import ShardedSyrennEngine
-from repro.engine.jobs import chunk_spans
+from repro.engine.sharding import chunk_spans
 from repro.exceptions import EngineError, LPError
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
 from repro.lp.backends import get_backend
@@ -500,6 +500,6 @@ class TestEvaluateRegionsJob:
         outputs = engine.evaluate_regions(ddnn, vertices, activations, chunk_rows=8)
         np.testing.assert_array_equal(outputs, expected)
         # Chunking is deterministic: 37 rows in 8-row chunks is 5 tasks.
-        assert engine.scheduler.jobs_executed == 5
+        assert engine.stats()["jobs_executed"] == 5
         with pytest.raises(EngineError):
             engine.evaluate_regions(ddnn, vertices, activations[:5])

@@ -35,7 +35,7 @@ from repro.core.specs import (
 )
 from repro.driver import CounterexamplePool, RepairDriver
 from repro.engine import ShardedSyrennEngine
-from repro.engine.jobs import contiguous_spans
+from repro.engine.sharding import contiguous_spans
 from repro.exceptions import RepairError, SpecificationError
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment

@@ -182,6 +182,7 @@ class TestProtocol:
             (lambda job: job.update(config={"max_rounds": "abc"}), "max_rounds"),
             (lambda job: job.update(config={"layer_schedule": 3}), "layer_schedule"),
             (lambda job: job.update(config={"incremental": "false"}), "incremental"),
+            (lambda job: job.update(config={"lp_backend": "scipy"}), "lp_backend"),
             (
                 lambda job: job.update(verifier={"kind": "grid", "resolution": -3}),
                 "bad parameters",
@@ -235,6 +236,25 @@ class TestRepairServiceInProcess:
             assert comparable(served_report) == comparable(baseline.as_dict())
             served_network = decode_network_b64(result["result"]["network"])
             assert parameter_bytes(served_network) == parameter_bytes(baseline.network)
+
+    def test_memory_budget_job_on_a_pooled_engine(self, tmp_path):
+        """A chunked repair encodes through the shared engine's spawn pool."""
+        network, spec = plane_scenario(12345)
+        job = make_job(
+            "repair", network, spec, config={"max_rounds": 4, "memory_budget": 1 << 20}
+        )
+        served = []
+        for engine_workers in (1, 2):
+            service = RepairService(
+                tmp_path / f"state-{engine_workers}", engine_workers=engine_workers
+            )
+            try:
+                result = service.wait(service.submit(job), timeout=240)
+            finally:
+                service.stop()
+            assert result["status"] == "done", result["error"]
+            served.append(parameter_bytes(decode_network_b64(result["result"]["network"])))
+        assert served[0] == served[1]
 
     def test_verify_job(self, tmp_path):
         network, spec = plane_scenario(12345)
@@ -352,6 +372,7 @@ class TestHTTPEndToEnd:
         [
             ("config", {"max_rounds": "abc"}),
             ("verifier", {"kind": "grid", "resolution": -3}),
+            ("config", {"lp_backend": "scipy"}),
         ],
     )
     def test_bad_config_or_verifier_parameters_are_400(self, http_server, field, value):
